@@ -8,10 +8,16 @@ causal mask the unrolled Euler sampler can run chunk by chunk and emit
 frames as soon as their full dependency cone (attention windows compounded
 across layers and steps, plus the look-ahead convolution) has arrived,
 reproducing the offline result exactly.
+
+Streaming keeps state between chunks: an emitted frame is final at every
+Euler step, CFG pass and estimator block, so its keys and values there are
+kept, and each chunk integrates only the frames not yet emitted against
+them. Offline sampling is the same integrator run once from frame 0.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -25,6 +31,7 @@ from .tensor import Tensor
 
 __all__ = [
     "FeatureSeq",
+    "FeatureFileError",
     "ConditionSet",
     "MaskKind",
     "MaskSpec",
@@ -44,6 +51,10 @@ __all__ = [
 ]
 
 UPSAMPLE = 2  # frames per speech token
+
+
+class FeatureFileError(ValueError):
+    """A feature file's header or body is malformed."""
 
 
 @dataclass
@@ -214,9 +225,17 @@ class CfmModel:
         return T.concat_cols([x, T.take_rows(emb, up_ids)])
 
     def field(self, state: Tensor, t: float, cond: ConditionSet, mask: np.ndarray,
-              token_feats: Tensor | None = None, unconditional: bool = False) -> Tensor:
-        """Estimated velocity for every frame of ``state`` at time ``t``."""
+              token_feats: Tensor | None = None, unconditional: bool = False,
+              kv: list[list[np.ndarray]] | None = None) -> Tensor:
+        """Estimated velocity for every frame of ``state`` at time ``t``.
+
+        ``state`` holds the last rows of the mask.shape[1] frames the mask
+        spans. Earlier frames enter only through ``kv``, one [K, V] per
+        estimator block (see :meth:`TransformerBlock.__call__`), and then
+        ``token_feats`` must cover just the rows of ``state``.
+        """
         length = state.data.shape[0]
+        start = mask.shape[1] - length
         if unconditional:
             cond_feats = Tensor(np.zeros((length, self.cond_width)))
             v_rows = Tensor(np.zeros((length, self.config.speaker_dim)))
@@ -227,20 +246,21 @@ class CfmModel:
             if cond_feats.data.shape[0] != length:
                 raise T.DimensionError("token conditions do not cover the state length")
             v_rows = Tensor(np.tile(cond.v, (length, 1)))
-            ref = Tensor(_ref_rows(cond.masked_ref.frames, length, self.config.n_features))
+            ref = Tensor(_ref_rows(cond.masked_ref.frames, start, start + length,
+                                   self.config.n_features))
         t_rows = Tensor(np.tile(_time_embedding(t, self.config.time_dim), (length, 1)))
         inp = T.concat_cols([state, t_rows, cond_feats, v_rows, ref])
         x = T.relu(self.est_in(inp, row_stable=True))
-        for block in self.est_blocks:
-            x = block(x, mask, row_stable=True)
+        for b, block in enumerate(self.est_blocks):
+            x = block(x, mask, row_stable=True, kv=None if kv is None else kv[b])
         return self.est_out(self.est_norm(x), row_stable=True)
 
 
-def _ref_rows(ref: np.ndarray, length: int, n_features: int) -> np.ndarray:
-    """Reference rows padded with zeros so any prefix sees identical values."""
-    out = np.zeros((length, n_features))
-    have = min(length, ref.shape[0])
-    out[:have] = ref[:have]
+def _ref_rows(ref: np.ndarray, start: int, stop: int, n_features: int) -> np.ndarray:
+    """Reference rows start:stop, padded with zeros past the reference's end."""
+    out = np.zeros((stop - start, n_features))
+    have = ref[start:stop]
+    out[: len(have)] = have
     return out
 
 
@@ -287,14 +307,18 @@ def training_step(model: CfmModel, x1: FeatureSeq, cond_v: np.ndarray,
 
 
 def cfg_field(model: CfmModel, state: Tensor, t: float, cond: ConditionSet,
-              beta: float, mask: np.ndarray, token_feats: Tensor | None = None) -> Tensor:
-    """Guided field (1+beta)*conditional - beta*unconditional."""
+              beta: float, mask: np.ndarray, token_feats: Tensor | None = None,
+              kv: Sequence[list | None] = (None, None)) -> Tensor:
+    """Guided field (1+beta)*conditional - beta*unconditional.
+
+    ``kv`` pairs the conditional and unconditional :meth:`CfmModel.field` caches.
+    """
     if beta < 0.0:
         raise ValueError("guidance strength must be >= 0")
-    conditional = model.field(state, t, cond, mask, token_feats=token_feats)
+    conditional = model.field(state, t, cond, mask, token_feats=token_feats, kv=kv[0])
     if beta == 0.0:
         return conditional
-    unconditional = model.field(state, t, cond, mask, unconditional=True)
+    unconditional = model.field(state, t, cond, mask, unconditional=True, kv=kv[1])
     return T.sub(T.scale(conditional, 1.0 + beta), T.scale(unconditional, beta))
 
 
@@ -310,15 +334,27 @@ def _frame_noise(seed: int, start: int, stop: int, n_features: int) -> np.ndarra
     return out
 
 
-def _integrate(model: CfmModel, cond: ConditionSet, length: int, nfe: int, beta: float,
-               spec: MaskSpec, seed: int) -> np.ndarray:
+def _integrate(model: CfmModel, cond: ConditionSet, start: int, length: int, nfe: int,
+               beta: float, spec: MaskSpec, seed: int, cache: list | None = None) -> np.ndarray:
+    """Euler-integrate frames start:length of a ``length``-frame sequence.
+
+    Frames before ``start`` must be final, with their keys and values in
+    ``cache``: one [K, V] per (step, CFG pass, estimator block), as the
+    previous call over the same conditions left them. Rows that call
+    computed past ``start`` are dropped and recomputed.
+    """
+    for per_block in cache or ():
+        for kv in per_block:
+            kv[:] = [kv[0][:start], kv[1][:start]]
     mask = build_mask(spec, length)
-    token_feats = model.token_conditions(cond.tokens, mask)
-    x = _frame_noise(seed, 0, length, model.config.n_features)
+    token_feats = Tensor(model.token_conditions(cond.tokens, mask).data[start:])
+    rows = mask[start:]
+    x = _frame_noise(seed, start, length, model.config.n_features)
     grid = [cosine_schedule(k / nfe) for k in range(nfe + 1)]
     for k in range(nfe):
         state = Tensor(x)
-        vel = cfg_field(model, state, grid[k], cond, beta, mask, token_feats=token_feats)
+        vel = cfg_field(model, state, grid[k], cond, beta, rows, token_feats=token_feats,
+                        kv=cache[2 * k : 2 * k + 2] if cache else (None, None))
         x = x + (grid[k + 1] - grid[k]) * vel.data
     return x
 
@@ -333,7 +369,7 @@ def sample(model: CfmModel, cond: ConditionSet, length: int, nfe: int = 10,
             f"length {length} != {UPSAMPLE} x {len(cond.tokens)} tokens"
         )
     spec = spec if spec is not None else MaskSpec(MaskKind.NON_CAUSAL)
-    return FeatureSeq(_integrate(model, cond, length, nfe, beta, spec, seed))
+    return FeatureSeq(_integrate(model, cond, 0, length, nfe, beta, spec, seed))
 
 
 def _token_horizon(model: CfmModel, frame: int, spec: MaskSpec, nfe: int) -> int:
@@ -362,6 +398,16 @@ def stream_generate(model: CfmModel, token_chunks: Iterable[Sequence[int]],
 
     Concatenated output equals a one-shot :func:`sample` over all tokens with
     the same mask, noise seed and conditions, exactly. Requires a causal mask.
+
+    The call keeps one piece of state across chunks: the emitted frontier
+    ``done`` and, for every frame before it, its keys and values at each
+    (Euler step, CFG pass, estimator block). Those frames are final, so each
+    chunk integrates only frames ``done:length``: the newly determined ones
+    and the provisional ones still waiting on look-ahead, which are
+    recomputed when more tokens arrive. The token conditions are recomputed
+    whole. The state is nfe x 2 x n_estimator_blocks [K, V] pairs of
+    [done, hidden] float64 arrays; at 192 frames and the default config
+    (nfe 10, 3 blocks, hidden 24) that is 4.4 MB.
     """
     spec = spec if spec is not None else MaskSpec(MaskKind.CHUNK)
     if spec.kind is MaskKind.NON_CAUSAL:
@@ -370,23 +416,21 @@ def stream_generate(model: CfmModel, token_chunks: Iterable[Sequence[int]],
         raise ValueError("nfe must be >= 1")
     received: list[int] = []
     done = 0
+    empty = np.zeros((0, model.config.hidden))
+    cache = [[[empty, empty] for _ in model.est_blocks] for _ in range(2 * nfe)]
     ref_flags = np.zeros(len(ref), dtype=bool)
-    for chunk in token_chunks:
-        received.extend(int(t) for t in chunk)
+    for chunk in itertools.chain(token_chunks, [None]):  # None: the input has ended
+        if chunk is not None:
+            received.extend(int(t) for t in chunk)
         length = UPSAMPLE * len(received)
-        safe = done
+        safe = done if chunk is not None else length
         while safe < length and _token_horizon(model, safe, spec, nfe) < len(received):
             safe += 1
         if safe > done:
             cond = ConditionSet(cond_v, received, ref, ref_flags)
-            x = _integrate(model, cond, length, nfe, beta, spec, seed)
-            yield FeatureSeq(x[done:safe])
+            x = _integrate(model, cond, done, length, nfe, beta, spec, seed, cache)
+            yield FeatureSeq(x[: safe - done])
             done = safe
-    length = UPSAMPLE * len(received)
-    if length > done:
-        cond = ConditionSet(cond_v, received, ref, ref_flags)
-        x = _integrate(model, cond, length, nfe, beta, spec, seed)
-        yield FeatureSeq(x[done:])
 
 
 def energy_distance(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -414,10 +458,10 @@ def read_feature_file(path) -> FeatureSeq:
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().split()
         if len(header) != 3 or header[0] != "SFEA":
-            raise ValueError(f"{path}: missing SFEA header")
+            raise FeatureFileError(f"{path}: missing SFEA header")
         length, nf = int(header[1]), int(header[2])
-        rows = [[float(x) for x in f.readline().split()] for _ in range(length)]
-    arr = np.asarray(rows, dtype=np.float64)
-    if arr.shape != (length, nf) and not (length == 0 and arr.size == 0):
-        raise ValueError(f"{path}: body does not match header")
+        rows = [f.readline().split() for _ in range(length)]
+        if any(len(row) != nf for row in rows) or f.read().strip():
+            raise FeatureFileError(f"{path}: body does not match header")
+    arr = np.array([[float(x) for x in row] for row in rows], dtype=np.float64)
     return FeatureSeq(arr.reshape(length, nf))

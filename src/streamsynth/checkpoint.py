@@ -57,6 +57,8 @@ def load_checkpoint(path):
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     meta_len = struct.unpack_from("<I", raw, 8)[0]
+    if 12 + meta_len > len(raw):
+        raise CheckpointError(f"{path}: truncated inside the metadata")
     meta_raw = raw[12 : 12 + meta_len].decode("utf-8")
     offset = 12 + meta_len
 
@@ -75,11 +77,15 @@ def load_checkpoint(path):
 
     params: dict[str, np.ndarray] = {}
     for name, shape in order:
+        if offset + 8 > len(raw):
+            raise CheckpointError(f"{path}: truncated before parameter {name}")
         count = struct.unpack_from("<Q", raw, offset)[0]
         offset += 8
         expected = int(np.prod(shape)) if shape else 1
         if count != expected:
             raise CheckpointError(f"{path}: {name} count {count} != shape {shape}")
+        if offset + 8 * count > len(raw):
+            raise CheckpointError(f"{path}: truncated inside parameter {name}")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).copy()
         offset += 8 * count
         params[name] = arr.reshape(shape)

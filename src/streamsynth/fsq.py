@@ -24,6 +24,7 @@ __all__ = [
     "FsqConfig",
     "FsqCodec",
     "RangeError",
+    "TokenFileError",
     "bounded_round",
     "encode_index",
     "decode_index",
@@ -34,6 +35,10 @@ __all__ = [
 
 # one speech token covers 40 ms of signal in the modeled pipeline
 TOKEN_RATE_HZ = 25
+
+
+class TokenFileError(ValueError):
+    """A token file's header is missing or malformed."""
 
 
 class RangeError(ValueError):
@@ -197,8 +202,10 @@ def read_token_file(path) -> tuple[list[int], FsqConfig]:
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
         if not header.startswith("#fsq "):
-            raise ValueError(f"{path}: missing #fsq header")
-        fields = dict(part.split("=") for part in header[len("#fsq "):].split())
+            raise TokenFileError(f"{path}: missing #fsq header")
+        fields = dict(part.partition("=")[::2] for part in header[len("#fsq "):].split())
+        if not (fields.get("D", "").isdecimal() and fields.get("K", "").isdecimal()):
+            raise TokenFileError(f"{path}: #fsq header needs D=<int> and K=<int>")
         config = FsqConfig(d=int(fields["D"]), k=int(fields["K"]))
         tokens = [int(line) for line in f if line.strip()]
     for mu in tokens:

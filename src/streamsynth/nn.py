@@ -14,9 +14,6 @@ __all__ = [
     "LayerNorm",
     "TransformerBlock",
     "Adam",
-    "named_parameters",
-    "zero_grads",
-    "clone_params",
     "param_fingerprint",
 ]
 
@@ -69,11 +66,22 @@ class TransformerBlock:
         self.fc1 = Linear(rng, dim, dim * mlp_ratio, std)
         self.fc2 = Linear(rng, dim * mlp_ratio, dim, std)
 
-    def __call__(self, x: Tensor, mask: np.ndarray, row_stable: bool = False) -> Tensor:
+    def __call__(self, x: Tensor, mask: np.ndarray, row_stable: bool = False,
+                 kv: list[np.ndarray] | None = None) -> Tensor:
+        """Apply the block to the rows of ``x``.
+
+        ``kv`` is [K, V]: the key and value data of the rows that precede
+        ``x``, so ``mask`` is [len(x), len(K) + len(x)]. The call appends the
+        keys and values of ``x`` to it. With ``kv`` no gradient reaches the
+        keys and values, so training passes none.
+        """
         h = self.ln1(x)
-        att = T.masked_attention(
-            self.wq(h, row_stable), self.wk(h, row_stable), self.wv(h, row_stable), mask
-        )
+        q, k, v = self.wq(h, row_stable), self.wk(h, row_stable), self.wv(h, row_stable)
+        if kv is not None:
+            kv[0] = np.concatenate([kv[0], k.data])
+            kv[1] = np.concatenate([kv[1], v.data])
+            k, v = Tensor(kv[0]), Tensor(kv[1])
+        att = T.masked_attention(q, k, v, mask)
         x = T.add(x, self.wo(att, row_stable))
         h = self.ln2(x)
         h = T.silu(self.fc1(h, row_stable))
@@ -136,20 +144,6 @@ class Ema:
     def copy_to(self, params: Sequence[Tensor] | None = None) -> None:
         for s, p in zip(self.shadow, params if params is not None else self.params):
             p.data = s.copy()
-
-
-def named_parameters(model) -> list[tuple[str, Tensor]]:
-    """Declaration-ordered (name, tensor) pairs from a model's parameters()."""
-    return [(f"p{i}", p) for i, p in enumerate(model.parameters())]
-
-
-def zero_grads(params: Sequence[Tensor]) -> None:
-    for p in params:
-        p.zero_grad()
-
-
-def clone_params(params: Sequence[Tensor]) -> list[np.ndarray]:
-    return [p.data.copy() for p in params]
 
 
 def param_fingerprint(params: Sequence[Tensor]) -> bytes:

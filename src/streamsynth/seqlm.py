@@ -331,6 +331,9 @@ def generate_chunks(model, prompt: PromptState, vocab: Vocabulary, cfg: Interlea
     past_turn = prompt.past_turn
     total_text = sum(1 for t in ids if vocab.is_text(t)) + len(text_left)
     budget = max_len if max_len is not None else 4 * (total_text * 3 + 16)
+    if getattr(model, "max_len", None) is not None:
+        # the model scores sequences of at most max_len ids
+        budget = min(budget, model.max_len + 1 - len(prompt.ids))
     pending: list[int] = []
     done = False
 

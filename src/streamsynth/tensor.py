@@ -475,14 +475,16 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tenso
 
     Each output row is computed over exactly its allowed positions, so a row
     whose window lies inside a prefix is reproduced bit for bit when the
-    sequence is extended.
+    sequence is extended. ``q`` may hold only the last Lq of the Lk rows
+    (``mask`` [Lq, Lk]); its outputs then equal those rows of the square call.
     """
-    if q.data.ndim != 2 or q.data.shape != k.data.shape or k.data.shape != v.data.shape:
-        raise DimensionError("q, k, v must share shape [L, F]")
+    if q.data.ndim != 2 or k.data.ndim != 2 or k.data.shape != v.data.shape \
+            or q.data.shape[1] != k.data.shape[1]:
+        raise DimensionError("q must be [Lq, F], k and v [Lk, F]")
     length, feat = q.data.shape
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (length, length):
-        raise DimensionError(f"mask must be {length}x{length}")
+    if mask.shape != (length, k.data.shape[0]):
+        raise DimensionError(f"mask must be {length}x{k.data.shape[0]}")
     inv_scale = 1.0 / np.sqrt(feat)
 
     windows: list[np.ndarray] = []

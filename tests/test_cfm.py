@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamsynth import cfm
 from streamsynth import tensor as T
@@ -17,6 +19,9 @@ SMALL = CfmConfig(n_features=4, token_vocab=40, token_embed=6, hidden=10,
 
 def small_model(seed=0):
     return CfmModel(SMALL, np.random.default_rng(seed))
+
+
+STREAM_MODEL = small_model(seed=4)
 
 
 def conditions(rng, n_tokens, ref_len=4):
@@ -131,7 +136,7 @@ class TestCfgField:
             config = SMALL
 
             def field(self, state, t, cond, mask, token_feats=None,
-                      unconditional=False):
+                      unconditional=False, kv=None):
                 value = 0.0 if unconditional else 1.0
                 return Tensor(np.full(state.data.shape, value))
 
@@ -256,7 +261,7 @@ class TestSampling:
                 return Tensor(np.zeros((2 * len(tokens), SMALL.hidden)))
 
             def field(self, state, t, cond, mask, token_feats=None,
-                      unconditional=False):
+                      unconditional=False, kv=None):
                 return Tensor(np.full(state.data.shape, 2.5))
 
         rng = np.random.default_rng(0)
@@ -348,6 +353,54 @@ class TestStreaming:
         assert np.array_equal(base[:4], out[:4])
         assert not np.array_equal(base, out)
 
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from([MaskKind.FULL_CAUSAL, MaskKind.CHUNK, MaskKind.CHUNK2]),
+           chunk=st.integers(1, 12), beta=st.sampled_from([0.0, 0.7]),
+           sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+           ref_len=st.integers(0, 40), seed=st.integers(0, 2**16))
+    def test_stream_bit_equals_sample(self, kind, chunk, beta, sizes, ref_len, seed):
+        rng = np.random.default_rng(seed)
+        model = STREAM_MODEL
+        spec = MaskSpec(kind, chunk=chunk)
+        tokens = [int(t) for t in rng.integers(0, SMALL.token_vocab, sum(sizes))]
+        v = rng.normal(size=SMALL.speaker_dim)
+        ref = FeatureSeq(rng.normal(size=(ref_len, SMALL.n_features)))
+        offline = sample(model, ConditionSet(v, tokens, ref), 2 * len(tokens), nfe=2,
+                         beta=beta, spec=spec, seed=seed)
+        ends = np.cumsum(sizes)
+        chunks = [tokens[e - n : e] for n, e in zip(sizes, ends)]
+        parts = list(stream_generate(model, iter(chunks), v, ref, nfe=2, beta=beta,
+                                     spec=spec, seed=seed))
+        got = np.concatenate([p.frames for p in parts], axis=0)
+        assert got.shape == offline.frames.shape
+        assert (got.view(np.uint64) == offline.frames.view(np.uint64)).all()
+
+    def test_each_package_integrates_new_rows_only(self, monkeypatch):
+        # one 3-token chunk per package: every package may integrate its new
+        # chunk plus the previous one, still provisional on look-ahead, but
+        # never the whole prefix again
+        config = CfmConfig(n_features=4, token_vocab=40, token_embed=6, hidden=10,
+                           speaker_dim=4, lookahead=2, n_align_blocks=0)
+        model = CfmModel(config, np.random.default_rng(3))
+        rows = []
+        attention = T.masked_attention
+
+        def counting(q, k, v, mask):
+            rows.append(q.data.shape[0])
+            return attention(q, k, v, mask)
+
+        monkeypatch.setattr(T, "masked_attention", counting)
+        rng = np.random.default_rng(13)
+        tokens = [int(t) for t in rng.integers(0, config.token_vocab, 15)]
+        chunks = [tokens[i : i + 3] for i in range(0, 15, 3)]
+        spec = MaskSpec(MaskKind.CHUNK, chunk=6)
+        parts = list(stream_generate(model, iter(chunks), rng.normal(size=4),
+                                     FeatureSeq(np.zeros((0, 4))), nfe=2, beta=0.7,
+                                     spec=spec, seed=1))
+        assert sum(len(p) for p in parts) == 30
+        calls_per_row = 2 * 2 * config.n_estimator_blocks  # step x pass x block
+        assert sum(rows) <= calls_per_row * (30 + spec.chunk * len(chunks))
+
     def test_emission_horizon_respects_lookahead(self):
         model = small_model(seed=7)
         spec = MaskSpec(MaskKind.FULL_CAUSAL)
@@ -392,4 +445,11 @@ class TestFeatureFiles:
         path = tmp_path / "bad.sfea"
         path.write_text("1 2 3\n")
         with pytest.raises(ValueError):
+            cfm.read_feature_file(path)
+
+    @pytest.mark.parametrize("body", ["1 2\n3 4\n", "1 2\n3\n5 6\n", "1 2\n3 4\n5 6\n7 8\n"])
+    def test_body_must_match_header(self, tmp_path, body):
+        path = tmp_path / "bad.sfea"
+        path.write_text("SFEA 3 2\n" + body)
+        with pytest.raises(cfm.FeatureFileError, match="body does not match header"):
             cfm.read_feature_file(path)

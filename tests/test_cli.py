@@ -154,6 +154,17 @@ class TestSynthesize:
         after = {f.name: f.read_bytes() for f in data.iterdir() if f.is_file()}
         assert before == after
 
+    def test_truncated_checkpoint_exits_cleanly(self, workspace, tmp_path, capsys):
+        _, _, runs, text = workspace
+        raw = (runs / "lm.ssyn").read_bytes()
+        cut = tmp_path / "cut.ssyn"
+        cut.write_bytes(raw[: 12 + int.from_bytes(raw[8:12], "little") + 3])
+        code = run("synthesize", "--lm", cut, "--cfm", runs / "cfm.ssyn", "--text", text,
+                   "--nfe", "2", "--mode", "stream", "--out", tmp_path / "o", *TINY)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "truncated" in err and "Traceback" not in err
+
 
 class TestBenchLatency:
     def test_report_lines(self, tmp_path, capsys):

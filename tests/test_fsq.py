@@ -197,6 +197,13 @@ class TestTokenFiles:
         with pytest.raises(ValueError):
             fsq.read_token_file(path)
 
+    @pytest.mark.parametrize("header", ["#fsq D=4", "#fsq D4 K=1", "#fsq D=x K=1"])
+    def test_malformed_header_named(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n1\n")
+        with pytest.raises(fsq.TokenFileError, match="bad.txt"):
+            fsq.read_token_file(path)
+
     def test_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "oor.txt"
         path.write_text("#fsq D=2 K=1\n9\n")

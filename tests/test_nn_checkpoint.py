@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,18 @@ class TestCheckpointFormat:
         save_checkpoint(path, "demo", [("x", np.zeros(8))])
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(Exception):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", ["metadata", "count", "values"])
+    def test_truncation_named(self, tmp_path, cut):
+        path = tmp_path / "model.ssyn"
+        save_checkpoint(path, "demo", [("x", np.zeros(8)), ("y", np.zeros(2))])
+        raw = path.read_bytes()
+        meta_end = 12 + struct.unpack_from("<I", raw, 8)[0]
+        keep = {"metadata": meta_end - 5, "count": meta_end + 8 + 64 + 3,
+                "values": meta_end + 8 + 20}[cut]
+        path.write_bytes(raw[:keep])
+        with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

@@ -270,6 +270,15 @@ class TestDriver:
         result = generate(model, prompt, VOCAB, CFG, max_len=10)
         assert result.truncated and "length-budget" in result.flags
 
+    def test_default_budget_capped_by_model_max_len(self):
+        # the default budget, 4 * (3 * 10 + 16) ids, exceeds what the model scores
+        model = ToyLM(VOCAB, dim=8, n_blocks=1, max_len=40,
+                      rng=np.random.default_rng(0))
+        prompt = build_icl_prompt(VOCAB, [], text_ids(*(i % 6 for i in range(10))), [],
+                                  "stream", CFG)
+        result = generate(model, prompt, VOCAB, CFG, sampler=lambda logits, rng: 3)
+        assert result.truncated and "length-budget" in result.flags
+
     def test_chunk_iterator_matches_result(self):
         cfg = InterleaveConfig(n=2, m=3)
         model = ScriptedLM(VOCAB, [1, 2, 3, 4, VOCAB.eos])

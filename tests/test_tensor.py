@@ -253,6 +253,30 @@ class TestMaskedAttention:
         with pytest.raises(T.MaskedRowError):
             T.masked_attention(x, x, x, mask)
 
+    @pytest.mark.parametrize("lo", [0, 1, 3, 5])
+    def test_query_suffix_matches_square_rows(self, lo):
+        rng = np.random.default_rng(lo)
+        q, k, v = (Tensor(rng.normal(size=(6, 4))) for _ in range(3))
+        mask = rng.uniform(size=(6, 6)) < 0.6
+        mask[np.arange(6), np.arange(6)] = True
+        square = T.masked_attention(q, k, v, mask).data
+        rect = T.masked_attention(Tensor(q.data[lo:]), k, v, mask[lo:]).data
+        assert (rect.view(np.uint64) == square[lo:].view(np.uint64)).all()
+
+    def test_query_suffix_gradients(self):
+        rng = np.random.default_rng(4)
+        q, k, v = rand(rng, 3, 4), rand(rng, 6, 4), rand(rng, 6, 4)
+        mask = np.tril(np.ones((6, 6), dtype=bool))[3:]
+        err = T.check_gradients(
+            lambda: T.mean_all(T.abs_val(T.masked_attention(q, k, v, mask))),
+            [q, k, v])
+        assert err < 1e-4
+
+    def test_rectangular_mask_shape_checked(self):
+        x, kv = Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3)))
+        with pytest.raises(T.DimensionError):
+            T.masked_attention(x, kv, kv, np.ones((2, 2), dtype=bool))
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gradients(self, seed):
         rng = np.random.default_rng(seed)
