@@ -459,9 +459,20 @@ def read_feature_file(path) -> FeatureSeq:
         header = f.readline().split()
         if len(header) != 3 or header[0] != "SFEA":
             raise FeatureFileError(f"{path}: missing SFEA header")
+        if not (header[1].isdecimal() and header[2].isdecimal()):
+            raise FeatureFileError(f"{path}: SFEA header counts must be integers >= 0")
         length, nf = int(header[1]), int(header[2])
-        rows = [f.readline().split() for _ in range(length)]
-        if any(len(row) != nf for row in rows) or f.read().strip():
-            raise FeatureFileError(f"{path}: body does not match header")
-    arr = np.array([[float(x) for x in row] for row in rows], dtype=np.float64)
-    return FeatureSeq(arr.reshape(length, nf))
+        lines = f.read().split("\n")
+    rows = [line.split() for line in lines[:length]]
+    if len(rows) < length or any(len(row) != nf for row in rows) \
+            or "".join(lines[length:]).strip():
+        raise FeatureFileError(f"{path}: body does not match header")
+    arr = np.zeros((length, nf))
+    for i, row in enumerate(rows):
+        try:
+            arr[i] = [float(x) for x in row]
+        except ValueError:
+            raise FeatureFileError(f"{path}:{i + 2}: non-numeric value") from None
+        if not np.all(np.isfinite(arr[i])):
+            raise FeatureFileError(f"{path}:{i + 2}: non-finite value")
+    return FeatureSeq(arr)

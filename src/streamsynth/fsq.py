@@ -38,7 +38,7 @@ TOKEN_RATE_HZ = 25
 
 
 class TokenFileError(ValueError):
-    """A token file's header is missing or malformed."""
+    """A token file's header or one of its token lines is malformed."""
 
 
 class RangeError(ValueError):
@@ -206,8 +206,19 @@ def read_token_file(path) -> tuple[list[int], FsqConfig]:
         fields = dict(part.partition("=")[::2] for part in header[len("#fsq "):].split())
         if not (fields.get("D", "").isdecimal() and fields.get("K", "").isdecimal()):
             raise TokenFileError(f"{path}: #fsq header needs D=<int> and K=<int>")
-        config = FsqConfig(d=int(fields["D"]), k=int(fields["K"]))
-        tokens = [int(line) for line in f if line.strip()]
+        try:
+            config = FsqConfig(d=int(fields["D"]), k=int(fields["K"]))
+        except ValueError as exc:
+            raise TokenFileError(f"{path}: {exc}") from None
+        tokens = []
+        for lineno, line in enumerate(f, start=2):
+            if not line.strip():
+                continue
+            try:
+                tokens.append(int(line))
+            except ValueError:
+                raise TokenFileError(
+                    f"{path}:{lineno}: token {line.strip()!r} is not an integer") from None
     for mu in tokens:
         if mu < 0 or mu >= config.codebook_size:
             raise RangeError(f"{path}: token {mu} outside codebook")

@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .fsq import FsqCodec, decode_index, digit_table
 from .nn import Adam, Linear, param_fingerprint
-from .seqlm import (InterleaveConfig, ToyLM, Vocabulary, build_icl_prompt,
+from .seqlm import (InterleaveConfig, LmCache, ToyLM, Vocabulary, build_icl_prompt,
                     build_nonstream, generate, top_k_sampler)
 from .tensor import Tensor
 
@@ -213,14 +213,11 @@ def sample_speech_guided(lm: ToyLM, text: Sequence[int], n_tokens: int,
     """
     vocab = lm.vocab
     ids = [vocab.sos, *text, vocab.tos]
+    cache = LmCache()
+    sampler = top_k_sampler(top_k)
     out: list[int] = []
     for _ in range(n_tokens):
-        logits = lm.logits_last(ids)[: vocab.speech_size]
-        top = np.argsort(logits)[-top_k:]
-        z = logits[top] - logits[top].max()
-        p = np.exp(z)
-        p /= p.sum()
-        tok = int(top[rng.choice(len(top), p=p)])
+        tok = sampler(lm.logits_last(ids, cache)[: vocab.speech_size], rng)
         ids.append(tok)
         out.append(tok)
     return out

@@ -36,6 +36,8 @@ __all__ = [
     "generate_chunks",
     "greedy_sampler",
     "top_k_sampler",
+    "LmCache",
+    "CacheMismatchError",
     "ToyLM",
     "sequence_loss",
     "train_lm",
@@ -281,7 +283,7 @@ def top_k_sampler(k: int = 5, temperature: float = 1.0) -> Callable:
         z -= z.max()
         p = np.exp(z)
         p /= p.sum()
-        return int(top[rng.choice(k, p=p)])
+        return int(top[rng.choice(len(top), p=p)])
 
     return sample
 
@@ -334,6 +336,7 @@ def generate_chunks(model, prompt: PromptState, vocab: Vocabulary, cfg: Interlea
     if getattr(model, "max_len", None) is not None:
         # the model scores sequences of at most max_len ids
         budget = min(budget, model.max_len + 1 - len(prompt.ids))
+    cache = LmCache()
     pending: list[int] = []
     done = False
 
@@ -344,7 +347,7 @@ def generate_chunks(model, prompt: PromptState, vocab: Vocabulary, cfg: Interlea
             break
         if not past_turn and fill >= cfg.m:
             if text_left:
-                tok = sampler(model.logits_last(ids), rng)
+                tok = sampler(model.logits_last(ids, cache), rng)
                 if tok != vocab.filling:
                     result.flags.append("missing-filling")
                 past_turn = _pad_text(ids, text_left, vocab, cfg)
@@ -353,7 +356,7 @@ def generate_chunks(model, prompt: PromptState, vocab: Vocabulary, cfg: Interlea
                 ids.append(vocab.tos)
                 past_turn = True
             continue
-        tok = sampler(model.logits_last(ids), rng)
+        tok = sampler(model.logits_last(ids, cache), rng)
         if tok == vocab.eos:
             ids.append(tok)
             done = True
@@ -396,6 +399,26 @@ def generate(model, prompt: PromptState, vocab: Vocabulary, cfg: InterleaveConfi
     return result
 
 
+class CacheMismatchError(ValueError):
+    """The ids handed to a cached LM call do not extend the ids it has consumed."""
+
+
+@dataclass
+class LmCache:
+    """Decoding state of one generation call.
+
+    ``ids`` are the ids consumed so far; ``kv`` holds one [K, V] per LM block,
+    the keys and values of those ids' rows.
+    """
+
+    ids: list[int] = field(default_factory=list)
+    kv: list[list[np.ndarray]] = field(default_factory=list)
+
+    @property
+    def length(self) -> int:
+        return len(self.ids)
+
+
 class ToyLM:
     """Two-block causal transformer over the joint text/speech vocabulary."""
 
@@ -420,21 +443,48 @@ class ToyLM:
         out.extend(self.head.parameters())
         return out
 
-    def forward(self, ids: Sequence[int]) -> Tensor:
+    def _embed(self, ids: Sequence[int], start: int) -> Tensor:
+        """Token plus position embeddings of ``ids`` placed at ``start``."""
+        end = start + len(ids)
+        if end > self.max_len:
+            raise ValueError(f"sequence length {end} exceeds max_len {self.max_len}")
+        return T.add(T.embedding_lookup(self.embed, ids),
+                     T.embedding_lookup(self.pos, range(start, end)))
+
+    def forward(self, ids: Sequence[int], row_stable: bool = False) -> Tensor:
+        x = self._embed(ids, 0)
         length = len(ids)
-        if length > self.max_len:
-            raise ValueError(f"sequence length {length} exceeds max_len {self.max_len}")
-        x = T.add(
-            T.embedding_lookup(self.embed, ids),
-            T.embedding_lookup(self.pos, range(length)),
-        )
         mask = np.tril(np.ones((length, length), dtype=bool))
         for block in self.blocks:
-            x = block(x, mask)
-        return self.head(self.ln_f(x))
+            x = block(x, mask, row_stable)
+        return self.head(self.ln_f(x), row_stable)
 
-    def logits_last(self, ids: Sequence[int]) -> np.ndarray:
-        return self.forward(ids).data[-1]
+    def logits_last(self, ids: Sequence[int], cache: LmCache | None = None) -> np.ndarray:
+        """Next-token logits after ``ids``, equal to ``forward(ids, row_stable=True)``'s
+        last row.
+
+        Only the ids past ``cache.length`` run through the blocks, against the
+        cached keys and values, and the call adds them to ``cache``. Nothing is
+        recorded on an active tape: sampling needs no gradient.
+        """
+        cache = cache if cache is not None else LmCache()
+        start = cache.length
+        if len(ids) <= start or list(ids[:start]) != cache.ids:
+            raise CacheMismatchError(
+                f"ids (length {len(ids)}) do not extend the {start} cached ids")
+        new = list(ids[start:])
+        if not cache.kv:
+            cache.kv = [[np.zeros((0, self.dim)), np.zeros((0, self.dim))]
+                        for _ in self.blocks]
+        with T.suspend_tape():
+            x = self._embed(new, start)
+            mask = np.tril(np.ones((len(new), len(ids)), dtype=bool), k=start)
+            for block, kv in zip(self.blocks, cache.kv):
+                x = block(x, mask, row_stable=True, kv=kv)
+            last = Tensor(x.data[-1:])
+            logits = self.head(self.ln_f(last), row_stable=True).data[0]
+        cache.ids.extend(new)
+        return logits
 
 
 def sequence_loss(model: ToyLM, sequences: Sequence[TokenSequence]) -> Tensor:

@@ -11,13 +11,15 @@ bit level.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "Tensor",
     "Tape",
+    "suspend_tape",
     "DimensionError",
     "TapeError",
     "EmptyLossError",
@@ -163,6 +165,17 @@ class Tape:
             if g is None:
                 continue
             node.backward_fn(g)
+
+
+@contextmanager
+def suspend_tape() -> Iterator[None]:
+    """Record nothing inside this block, even under an active :class:`Tape`."""
+    prev = _active_tape()
+    _tls.tape = None
+    try:
+        yield
+    finally:
+        _tls.tape = prev
 
 
 def backward(loss: Tensor) -> None:

@@ -453,3 +453,17 @@ class TestFeatureFiles:
         path.write_text("SFEA 3 2\n" + body)
         with pytest.raises(cfm.FeatureFileError, match="body does not match header"):
             cfm.read_feature_file(path)
+
+    @pytest.mark.parametrize("body,line", [("1 2\nx 4\n", 3), ("1 nan\n3 4\n", 2)])
+    def test_bad_value_named_with_line(self, tmp_path, body, line):
+        path = tmp_path / "bad.sfea"
+        path.write_text("SFEA 2 2\n" + body)
+        with pytest.raises(cfm.FeatureFileError, match=f"bad.sfea:{line}: non-"):
+            cfm.read_feature_file(path)
+
+    @pytest.mark.parametrize("header", ["SFEA 1.5 2", "SFEA -1 2", "SFEA 2 two"])
+    def test_bad_header_count_named(self, tmp_path, header):
+        path = tmp_path / "bad.sfea"
+        path.write_text(header + "\n1 2\n2 3\n")
+        with pytest.raises(cfm.FeatureFileError, match="bad.sfea: SFEA header counts"):
+            cfm.read_feature_file(path)

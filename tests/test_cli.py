@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,20 @@ class TestSynthesize:
         err = capsys.readouterr().err
         assert code == 1
         assert "truncated" in err and "Traceback" not in err
+
+    def test_bad_feature_file_exits_cleanly(self, workspace, tmp_path, capsys):
+        _, data, _, _ = workspace
+        bad = tmp_path / "data"
+        shutil.copytree(data, bad)
+        frame = bad / "features" / "pair_000.sfea"
+        lines = frame.read_text().splitlines()
+        lines[1] = "x" + lines[1]
+        frame.write_text("\n".join(lines) + "\n")
+        code = run("train", "--target", "cfm", "--data", bad, "--out", tmp_path / "o",
+                   *TINY)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "pair_000.sfea:2: non-numeric value" in err and "Traceback" not in err
 
 
 class TestBenchLatency:

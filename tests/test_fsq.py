@@ -209,3 +209,15 @@ class TestTokenFiles:
         path.write_text("#fsq D=2 K=1\n9\n")
         with pytest.raises(fsq.RangeError):
             fsq.read_token_file(path)
+
+    def test_invalid_config_named(self, tmp_path):
+        path = tmp_path / "zero.txt"
+        path.write_text("#fsq D=0 K=1\n")
+        with pytest.raises(fsq.TokenFileError, match="zero.txt"):
+            fsq.read_token_file(path)
+
+    def test_non_integer_token_named_with_line(self, tmp_path):
+        path = tmp_path / "junk.txt"
+        path.write_text("#fsq D=2 K=1\n3\n\n4.5\n")
+        with pytest.raises(fsq.TokenFileError, match=r"junk.txt:4: token '4.5'"):
+            fsq.read_token_file(path)

@@ -117,7 +117,7 @@ class TestSimulator:
             def __init__(self):
                 self.toks = iter([1, 2, 3, 4, 5, vocab.filling, 6, 7, vocab.eos])
 
-            def logits_last(self, ids):
+            def logits_last(self, ids, cache=None):
                 logits = np.full(vocab.size, -1e3)
                 logits[next(self.toks)] = 1e3
                 return logits

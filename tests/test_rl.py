@@ -6,7 +6,7 @@ from streamsynth import rl
 from streamsynth import tensor as T
 from streamsynth.fsq import FsqCodec, FsqConfig, decode_index, encode_index
 from streamsynth.seqlm import (InterleaveConfig, ToyLM, Vocabulary,
-                               build_nonstream, build_stream, train_lm)
+                               build_nonstream, build_stream, top_k_sampler, train_lm)
 from streamsynth.tensor import Tape, Tensor
 
 
@@ -231,6 +231,30 @@ class TestAsrBackend:
         with pytest.raises(ValueError):
             rl.asr_reward_step(lm, asr, pairs[0][0], 1.0,
                                np.random.default_rng(0), speech=[1, 2])
+
+
+class TestGuidedSampling:
+    def test_records_nothing_on_an_active_tape(self, world):
+        _, _, _, pairs, lm, _, _ = world
+        text = pairs[0][0]
+        with Tape() as tape:
+            speech = rl.sample_speech_guided(lm, text, rl.GROUP * len(text),
+                                             np.random.default_rng(0))
+        assert tape.nodes == []
+        assert len(speech) == rl.GROUP * len(text)
+        assert all(lm.vocab.is_speech(tok) for tok in speech)
+
+    def test_matches_row_stable_forward_sampling(self, world):
+        _, _, _, pairs, lm, _, _ = world
+        text = pairs[1][0]
+        speech = rl.sample_speech_guided(lm, text, 9, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        sampler = top_k_sampler(5)
+        ids = [lm.vocab.sos, *text, lm.vocab.tos]
+        for tok in speech:
+            logits = lm.forward(ids, row_stable=True).data[-1][: lm.vocab.speech_size]
+            assert sampler(logits, rng) == tok
+            ids.append(tok)
 
 
 class TestFinetuneLoops:

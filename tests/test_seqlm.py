@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamsynth import tensor as T
-from streamsynth.seqlm import (GenerationResult, InterleaveConfig, ParseError,
-                               ToyLM, Vocabulary, build_icl_prompt,
+from streamsynth import nn
+from streamsynth.seqlm import (CacheMismatchError, GenerationResult, InterleaveConfig,
+                               LmCache, ParseError, ToyLM, Vocabulary, build_icl_prompt,
                                build_nonstream, build_stream, deinterleave, generate,
                                generate_chunks, greedy_sampler, sequence_loss,
                                top_k_sampler)
@@ -27,7 +28,7 @@ class ScriptedLM:
         self.script = list(script)
         self.cursor = 0
 
-    def logits_last(self, ids):
+    def logits_last(self, ids, cache=None):
         logits = np.full(self.vocab.size, -1e3)
         logits[self.script[min(self.cursor, len(self.script) - 1)]] = 1e3
         self.cursor += 1
@@ -340,3 +341,78 @@ class TestToyLM:
         assert draws1 == draws2
         assert set(draws1) <= {1, 2}
         assert greedy_sampler(logits, np.random.default_rng(0)) == 1
+
+
+def _varied_lm(max_len: int = 64, n_blocks: int = 2) -> ToyLM:
+    """A ToyLM whose head is not zero, so its logits differ from row to row."""
+    model = ToyLM(VOCAB, dim=16, n_blocks=n_blocks, max_len=max_len,
+                  rng=np.random.default_rng(7))
+    model.head.w.data = np.random.default_rng(8).normal(0, 0.3, model.head.w.data.shape)
+    return model
+
+
+CACHED_LM = _varied_lm()
+
+# one decoding step: 1-7 arbitrary ids, or a text group closed by turn-of-speech
+_any_step = st.lists(st.integers(0, VOCAB.size - 1), min_size=1, max_size=7)
+_text_then_turn = st.lists(st.integers(0, VOCAB.text_size - 1), min_size=1,
+                           max_size=6).map(lambda s: text_ids(*s) + [VOCAB.tos])
+
+
+class TestLmCache:
+    @given(st.lists(st.one_of(_any_step, _text_then_turn), min_size=1, max_size=9))
+    @settings(max_examples=60, deadline=None)
+    def test_cached_logits_equal_row_stable_forward(self, steps):
+        cache = LmCache()
+        ids: list[int] = []
+        for step in steps:
+            ids.extend(step)
+            got = CACHED_LM.logits_last(ids, cache)
+            want = CACHED_LM.forward(ids, row_stable=True).data[-1]
+            assert got.tobytes() == want.tobytes()
+        assert cache.ids == ids
+        assert all(k.shape == v.shape == (len(ids), 16) for k, v in cache.kv)
+
+    def test_each_position_runs_through_each_block_once(self, monkeypatch):
+        rows = []
+        call = nn.TransformerBlock.__call__
+
+        def counted(block, x, *args, **kwargs):
+            rows.append(x.data.shape[0])
+            return call(block, x, *args, **kwargs)
+
+        monkeypatch.setattr(nn.TransformerBlock, "__call__", counted)
+        model = _varied_lm()
+        model.head.b.data[3] = 50.0  # greedy decoding emits speech token 3 throughout
+        prompt = build_icl_prompt(VOCAB, [], text_ids(0, 1, 2), [], "nonstream", CFG)
+        result = generate(model, prompt, VOCAB, CFG, max_len=40)
+        assert result.speech == [3] * 40
+        # every id but the last generated one is fed once to each block;
+        # a whole-prefix rerun per token would push about 20 times as many rows
+        assert sum(rows) == len(model.blocks) * (len(result.ids) - 1)
+
+    def test_non_extending_ids_rejected(self):
+        cache = LmCache()
+        CACHED_LM.logits_last([VOCAB.sos, 1, 2], cache)
+        with pytest.raises(CacheMismatchError):
+            CACHED_LM.logits_last([VOCAB.sos, 4, 2, 5], cache)
+        with pytest.raises(CacheMismatchError):
+            CACHED_LM.logits_last([VOCAB.sos, 1, 2], cache)
+        with pytest.raises(CacheMismatchError):
+            CACHED_LM.logits_last([], LmCache())
+        assert cache.ids == [VOCAB.sos, 1, 2]
+        ids = [VOCAB.sos, 1, 2, 5]
+        assert CACHED_LM.logits_last(ids, cache).tobytes() \
+            == CACHED_LM.forward(ids, row_stable=True).data[-1].tobytes()
+
+    def test_decodes_up_to_max_len(self):
+        model = _varied_lm(max_len=12, n_blocks=1)
+        cache = LmCache()
+        ids = [VOCAB.sos]
+        while len(ids) < 12:
+            ids.append(int(np.argmax(model.logits_last(ids, cache))))
+        assert model.logits_last(ids, cache).tobytes() \
+            == model.forward(ids, row_stable=True).data[-1].tobytes()
+        with pytest.raises(ValueError, match="exceeds max_len 12"):
+            model.logits_last(ids + [1], cache)
+        assert cache.length == 12
