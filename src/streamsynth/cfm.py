@@ -21,6 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -105,11 +106,9 @@ class MaskSpec:
         if self.chunk < 1:
             raise ValueError("chunk must be >= 1 frame")
 
-    def build(self, length: int) -> np.ndarray:
-        return build_mask(self, length)
-
-    def row_horizon(self, i: int) -> int:
-        """Largest frame index row i may attend (unclamped)."""
+    def row_horizon(self, i):
+        """Largest frame index row i (an int or an array of rows) may attend,
+        unclamped. :func:`build_mask` is this rule applied to every row."""
         if self.kind is MaskKind.NON_CAUSAL:
             raise ValueError("non-causal mask has no finite horizon")
         if self.kind is MaskKind.FULL_CAUSAL:
@@ -123,12 +122,7 @@ def build_mask(spec: MaskSpec, length: int) -> np.ndarray:
         raise ValueError("mask length must be >= 1")
     if spec.kind is MaskKind.NON_CAUSAL:
         return np.ones((length, length), dtype=bool)
-    rows = np.arange(length)[:, None]
-    cols = np.arange(length)[None, :]
-    if spec.kind is MaskKind.FULL_CAUSAL:
-        return cols <= rows
-    step = 1 if spec.kind is MaskKind.CHUNK else 2
-    return cols < (rows // spec.chunk + step) * spec.chunk
+    return np.arange(length)[None, :] <= spec.row_horizon(np.arange(length)[:, None])
 
 
 def ot_path(x0: FeatureSeq, x1: FeatureSeq, t: float) -> FeatureSeq:
@@ -273,9 +267,6 @@ def _mask_fractions(rng: np.random.Generator, length: int) -> np.ndarray:
     return flags
 
 
-ALL_MASK_KINDS = (MaskKind.NON_CAUSAL, MaskKind.FULL_CAUSAL, MaskKind.CHUNK, MaskKind.CHUNK2)
-
-
 def training_step(model: CfmModel, x1: FeatureSeq, cond_v: np.ndarray,
                   tokens: Sequence[int], rng: np.random.Generator,
                   chunk: int = 30, oracle_field: np.ndarray | None = None) -> Tensor:
@@ -293,7 +284,7 @@ def training_step(model: CfmModel, x1: FeatureSeq, cond_v: np.ndarray,
     ref = x1.frames.copy()
     ref[flags] = 0.0
     cond = ConditionSet(cond_v, list(tokens), FeatureSeq(ref), flags)
-    spec = MaskSpec(ALL_MASK_KINDS[rng.integers(4)], chunk=chunk)
+    spec = MaskSpec(list(MaskKind)[rng.integers(len(MaskKind))], chunk=chunk)
     mask = build_mask(spec, length)
     uncond = bool(rng.uniform() < model.config.p_uncond)
 
@@ -455,19 +446,24 @@ def write_feature_file(path, seq: FeatureSeq) -> None:
 
 
 def read_feature_file(path) -> FeatureSeq:
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().split()
-        if len(header) != 3 or header[0] != "SFEA":
-            raise FeatureFileError(f"{path}: missing SFEA header")
-        if not (header[1].isdecimal() and header[2].isdecimal()):
-            raise FeatureFileError(f"{path}: SFEA header counts must be integers >= 0")
-        length, nf = int(header[1]), int(header[2])
-        lines = f.read().split("\n")
+    try:
+        header, *lines = Path(path).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError:
+        raise FeatureFileError(f"{path}: not UTF-8 text") from None
+    header = header.split()
+    if len(header) != 3 or header[0] != "SFEA":
+        raise FeatureFileError(f"{path}: missing SFEA header")
+    if not (header[1].isdecimal() and header[2].isdecimal()):
+        raise FeatureFileError(f"{path}: SFEA header counts must be integers >= 0")
+    length, nf = int(header[1]), int(header[2])
     rows = [line.split() for line in lines[:length]]
     if len(rows) < length or any(len(row) != nf for row in rows) \
             or "".join(lines[length:]).strip():
         raise FeatureFileError(f"{path}: body does not match header")
-    arr = np.zeros((length, nf))
+    try:
+        arr = np.zeros((length, nf))
+    except ValueError:  # a count past numpy's limits; only possible with no rows
+        raise FeatureFileError(f"{path}: SFEA header counts too large") from None
     for i, row in enumerate(rows):
         try:
             arr[i] = [float(x) for x in row]

@@ -8,6 +8,7 @@ element count followed by raw float64 little-endian values.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 from typing import Sequence
@@ -59,7 +60,10 @@ def load_checkpoint(path):
     meta_len = struct.unpack_from("<I", raw, 8)[0]
     if 12 + meta_len > len(raw):
         raise CheckpointError(f"{path}: truncated inside the metadata")
-    meta_raw = raw[12 : 12 + meta_len].decode("utf-8")
+    try:
+        meta_raw = raw[12 : 12 + meta_len].decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path}: metadata is not UTF-8") from None
     offset = 12 + meta_len
 
     meta: dict[str, str] = {}
@@ -70,8 +74,10 @@ def load_checkpoint(path):
         key, _, value = line.partition("=")
         meta[key] = value
         if key.startswith("shape."):
-            shape = tuple(int(d) for d in value.split(",")) if value else ()
-            order.append((key[len("shape."):], shape))
+            dims = value.split(",") if value else []
+            if not all(d.isdecimal() for d in dims):
+                raise CheckpointError(f"{path}: {key}={value!r} is not a shape")
+            order.append((key[len("shape."):], tuple(int(d) for d in dims)))
     if "module" not in meta:
         raise CheckpointError(f"{path}: metadata lacks module name")
 
@@ -81,7 +87,7 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: truncated before parameter {name}")
         count = struct.unpack_from("<Q", raw, offset)[0]
         offset += 8
-        expected = int(np.prod(shape)) if shape else 1
+        expected = math.prod(shape)
         if count != expected:
             raise CheckpointError(f"{path}: {name} count {count} != shape {shape}")
         if offset + 8 * count > len(raw):

@@ -10,6 +10,7 @@ output root for relative --out paths.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -26,15 +27,7 @@ from . import seqlm
 from . import tensor as T
 from .config import ConfigError, RunConfig, load_config, split_seed
 from .metrics import MetricsReport
-from .nn import Adam, Linear
-from .tensor import Tensor
-
-MASKS = {
-    "noncausal": cfm_mod.MaskKind.NON_CAUSAL,
-    "causal": cfm_mod.MaskKind.FULL_CAUSAL,
-    "chunk": cfm_mod.MaskKind.CHUNK,
-    "chunk2": cfm_mod.MaskKind.CHUNK2,
-}
+from .nn import Adam
 
 
 def _out_dir(raw: str) -> Path:
@@ -47,7 +40,12 @@ def _out_dir(raw: str) -> Path:
 
 
 def _load_cfg(args) -> RunConfig:
-    overrides = dict(kv.split("=", 1) for kv in (args.set or []))
+    overrides = {}
+    for kv in args.set or []:
+        key, eq, value = kv.partition("=")
+        if not eq:
+            raise ConfigError([f"override {kv!r}: expected SECTION.KEY=VALUE"])
+        overrides[key] = value
     cfg = load_config(args.config, overrides)
     if getattr(args, "seed", None) is not None:
         cfg.run.seed = args.seed
@@ -106,13 +104,18 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _target_features(data: Path, i: int) -> cfm_mod.FeatureSeq:
+    return cfm_mod.read_feature_file(
+        _require_file(data / "features" / f"pair_{i:03d}.sfea", "feature file"))
+
+
 def _train_sequences(cfg, vocab, pairs):
     icfg = seqlm.InterleaveConfig(cfg.seqlm.n, cfg.seqlm.m)
     seqs = []
     for text, speech in pairs:
         seqs.append(seqlm.build_nonstream(vocab, text, speech))
         seqs.append(seqlm.build_stream(vocab, text, speech, icfg))
-    return seqs, icfg
+    return seqs
 
 
 def _token_accuracy(model, seqs) -> float:
@@ -129,7 +132,7 @@ def _token_accuracy(model, seqs) -> float:
 def _train_lm(cfg: RunConfig, data: Path, out: Path) -> dict[str, float]:
     vocab = _vocab(cfg)
     pairs = dataio.read_corpus(_require_file(data / "corpus.txt", "corpus"))
-    seqs, _ = _train_sequences(cfg, vocab, pairs)
+    seqs = _train_sequences(cfg, vocab, pairs)
     model = seqlm.ToyLM(vocab, dim=cfg.seqlm.dim, n_blocks=cfg.seqlm.n_blocks,
                         max_len=cfg.seqlm.max_len,
                         rng=np.random.default_rng(split_seed(cfg.run.seed, "lm-init")))
@@ -149,16 +152,11 @@ def _train_cfm(cfg: RunConfig, data: Path, out: Path) -> dict[str, float]:
     speaker = np.array([float(x) for x in
                         _require_file(data / "speaker.txt", "speaker vector")
                         .read_text().split()])
-    features = []
-    for i in range(len(pairs)):
-        features.append(cfm_mod.read_feature_file(
-            _require_file(data / "features" / f"pair_{i:03d}.sfea", "feature file")))
+    features = [_target_features(data, i) for i in range(len(pairs))]
     codebook = fsq_mod.FsqConfig(cfg.fsq.d, cfg.fsq.k).codebook_size
-    mcfg = cfm_mod.CfmConfig(
-        n_features=cfg.cfm.n_features, token_vocab=codebook,
-        token_embed=cfg.cfm.token_embed, hidden=cfg.cfm.hidden,
-        speaker_dim=cfg.cfm.speaker_dim, lookahead=cfg.cfm.lookahead,
-        p_uncond=cfg.cfm.p_uncond, beta=cfg.cfm.beta, nfe=cfg.cfm.nfe)
+    mcfg = cfm_mod.CfmConfig(token_vocab=codebook, **{
+        f.name: getattr(cfg.cfm, f.name) for f in dataclasses.fields(cfm_mod.CfmConfig)
+        if hasattr(cfg.cfm, f.name)})
     model = cfm_mod.CfmModel(mcfg, np.random.default_rng(split_seed(cfg.run.seed, "cfm-init")))
     rng = np.random.default_rng(split_seed(cfg.run.seed, "cfm-train"))
     params = model.parameters()
@@ -182,47 +180,14 @@ def _train_cfm(cfg: RunConfig, data: Path, out: Path) -> dict[str, float]:
 
 
 def _train_fsq(cfg: RunConfig, data: Path, out: Path) -> dict[str, float]:
-    """Toy supervised tokenizer: encoder, codec bottleneck, label classifier."""
     vocab = _vocab(cfg)
     pairs = dataio.read_corpus(_require_file(data / "corpus.txt", "corpus"))
-    fcfg = fsq_mod.FsqConfig(cfg.fsq.d, cfg.fsq.k)
-    init = np.random.default_rng(split_seed(cfg.run.seed, "fsq-init"))
-    codec = fsq_mod.FsqCodec(fcfg, hidden=cfg.fsq.hidden, rng=init)
-    enc1 = Linear(init, cfg.fsq.hidden, cfg.fsq.hidden, std=0.3)
-    enc2 = Linear(init, cfg.fsq.hidden, cfg.fsq.hidden, std=0.3)
-    head = Linear(init, cfg.fsq.hidden, cfg.seqlm.text_alphabet, std=0.3)
-    params = codec.parameters() + enc1.parameters() + enc2.parameters() + head.parameters()
-    base = np.random.default_rng(split_seed(cfg.run.seed, "fsq-data")) \
-        .normal(0.0, 1.0, (cfg.seqlm.text_alphabet, cfg.fsq.hidden))
-    rng = np.random.default_rng(split_seed(cfg.run.seed, "fsq-train"))
-
-    def batch_features(text):
-        labels = [t - vocab.speech_size for t in text]
-        x = base[labels] + 0.1 * rng.standard_normal((len(labels), cfg.fsq.hidden))
-        return Tensor(x), labels
-
-    opt = Adam(params, lr=5e-3)
-    steps = max(cfg.seqlm.train_steps, 1)
-    acc_hits = acc_total = 0
-    tokens_seen: list[int] = []
-    for step in range(steps):
-        text, _ = pairs[int(rng.integers(len(pairs)))]
-        x, labels = batch_features(text)
-        opt.zero_grad()
-        with T.Tape() as tape:
-            h = T.relu(enc2(T.relu(enc1(x))))
-            digits, up = codec.quantize(h)
-            logits = head(T.relu(up))
-            loss = T.cross_entropy_ignore(logits, labels, [False] * len(labels))
-        tape.backward(loss)
-        opt.step()
-        if step >= steps - 50:
-            acc_hits += int((np.argmax(logits.data, axis=1) == np.array(labels)).sum())
-            acc_total += len(labels)
-            tokens_seen.extend(fsq_mod.encode_index(row, fcfg.k) for row in digits)
-    util, _ = fsq_mod.utilization(tokens_seen, fcfg)
+    codec, accuracy, util = fsq_mod.train_toy_tokenizer(
+        fsq_mod.FsqConfig(cfg.fsq.d, cfg.fsq.k), cfg.fsq.hidden,
+        [[t - vocab.speech_size for t in text] for text, _ in pairs],
+        cfg.seqlm.text_alphabet, max(cfg.seqlm.train_steps, 1), cfg.run.seed)
     persist.save_codec(out / "fsq.ssyn", codec)
-    return {"accuracy": acc_hits / max(acc_total, 1), "utilization": util}
+    return {"accuracy": accuracy, "utilization": util}
 
 
 def cmd_train(args) -> int:
@@ -251,7 +216,7 @@ def cmd_synthesize(args) -> int:
     icfg = seqlm.InterleaveConfig(cfg.seqlm.n, cfg.seqlm.m)
     text = _parse_text(vocab, args.text)
     speaker = _speaker(cfg)
-    spec = cfm_mod.MaskSpec(MASKS[args.mask], chunk=args.chunk_frames)
+    spec = cfm_mod.MaskSpec(cfm_mod.MaskKind(args.mask), chunk=args.chunk_frames)
     seed = split_seed(cfg.run.seed, "synthesize-noise")
     ref = cfm_mod.FeatureSeq(np.zeros((0, model.config.n_features)))
 
@@ -268,19 +233,16 @@ def cmd_synthesize(args) -> int:
             print(f"--chunk {k}--")
         feats = cfm_mod.FeatureSeq(np.concatenate(frames, axis=0) if frames
                                    else np.zeros((0, model.config.n_features)))
-        tokens = result.speech
-        truncated = result.truncated
     else:
         result = seqlm.generate(lm, prompt, vocab, icfg)
-        tokens = result.speech
-        truncated = result.truncated
-        cond = cfm_mod.ConditionSet(speaker, tokens, ref)
-        feats = cfm_mod.sample(model, cond, cfm_mod.UPSAMPLE * len(tokens),
+        cond = cfm_mod.ConditionSet(speaker, result.speech, ref)
+        feats = cfm_mod.sample(model, cond, cfm_mod.UPSAMPLE * len(result.speech),
                                nfe=args.nfe, beta=args.beta, spec=spec, seed=seed)
+    tokens = result.speech
     fsq_mod.write_token_file(out / "tokens.txt", tokens,
                              fsq_mod.FsqConfig(cfg.fsq.d, cfg.fsq.k))
     cfm_mod.write_feature_file(out / "features.sfea", feats)
-    if truncated:
+    if result.truncated:
         print("warning: generation hit the length budget before E")
     print(f"synthesized {len(tokens)} tokens -> {len(feats)} frames ({args.mode})")
     return 0
@@ -341,13 +303,15 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_bench_latency(args) -> int:
-    timing = lat_mod.StageTiming(args.d_lm, args.d_fm, args.d_voc, args.d_llm)
-    bound_tts = lat_mod.l_tts(args.m, timing)
-    bound_chat = lat_mod.l_chat_bound(args.n, args.m, timing)
-    report = lat_mod.simulate(lat_mod.scripted_token_source(3 * args.m, args.m),
-                              timing, args.m, n_text=0, overlap=args.overlap)
-    chat = lat_mod.simulate(lat_mod.scripted_token_source(3 * args.m, args.m),
-                            timing, args.m, n_text=args.n, overlap=args.overlap)
+    cfg = _load_cfg(args)
+    timing = lat_mod.StageTiming(**dataclasses.asdict(cfg.latency))
+    n, m = cfg.seqlm.n, cfg.seqlm.m
+    bound_tts = lat_mod.l_tts(m, timing)
+    bound_chat = lat_mod.l_chat_bound(n, m, timing)
+    report = lat_mod.simulate(lat_mod.scripted_token_source(3 * m, m),
+                              timing, m, n_text=0, overlap=args.overlap)
+    chat = lat_mod.simulate(lat_mod.scripted_token_source(3 * m, m),
+                            timing, m, n_text=n, overlap=args.overlap)
     lines = [
         f"l_tts_formula={bound_tts!r}",
         f"l_tts_simulated={report.first_package_seconds!r}",
@@ -376,7 +340,7 @@ def cmd_eval(args) -> int:
     lm = persist.load_lm(_require_file(args.lm, "LM checkpoint"))
     vocab = lm.vocab
     pairs = dataio.read_corpus(_require_file(data / "corpus.txt", "corpus"))
-    seqs, _ = _train_sequences(cfg, vocab, pairs)
+    seqs = _train_sequences(cfg, vocab, pairs)
     metrics = {
         "loss": seqlm.evaluate_loss(lm, seqs),
         "token_accuracy": _token_accuracy(lm, seqs),
@@ -393,13 +357,11 @@ def cmd_eval(args) -> int:
             cond = cfm_mod.ConditionSet(speaker, speech, ref)
             feats = cfm_mod.sample(model, cond, cfm_mod.UPSAMPLE * len(speech),
                                    nfe=cfg.cfm.nfe, beta=cfg.cfm.beta,
-                                   spec=cfm_mod.MaskSpec(MASKS[cfg.cfm.mask],
+                                   spec=cfm_mod.MaskSpec(cfm_mod.MaskKind(cfg.cfm.mask),
                                                          cfg.cfm.chunk_frames),
                                    seed=split_seed(cfg.run.seed, f"eval-{i}"))
             sampled.append(feats.frames)
-            target.append(cfm_mod.read_feature_file(
-                _require_file(data / "features" / f"pair_{i:03d}.sfea",
-                              "feature file")).frames)
+            target.append(_target_features(data, i).frames)
         metrics["energy_distance"] = cfm_mod.energy_distance(
             np.concatenate(sampled), np.concatenate(target))
     _report(cfg, metrics).write(out / "report_eval.txt")
@@ -412,10 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def config_options(p):
         p.add_argument("--config", default=None, help="key=value section config file")
         p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                        help="config override")
+
+    def common(p):
+        config_options(p)
         p.add_argument("--seed", type=int, default=None, help="override run.seed")
         p.add_argument("--out", required=True, help="output directory")
 
@@ -435,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cfm", required=True, help="flow-matching checkpoint path")
     p.add_argument("--text", required=True, help="space-separated text symbol ids")
     p.add_argument("--mode", choices=("offline", "stream"), default="offline")
-    p.add_argument("--mask", choices=tuple(MASKS), default="chunk")
+    p.add_argument("--mask", choices=[k.value for k in cfm_mod.MaskKind], default="chunk")
     p.add_argument("--chunk-frames", type=int, default=30)
     p.add_argument("--nfe", type=int, default=10)
     p.add_argument("--beta", type=float, default=0.7)
@@ -452,12 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_finetune)
 
     p = sub.add_parser("bench-latency", help="first-package latency model + simulator")
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--m", type=int, default=15)
-    p.add_argument("--d-lm", type=float, default=0.010)
-    p.add_argument("--d-fm", type=float, default=0.005)
-    p.add_argument("--d-voc", type=float, default=0.002)
-    p.add_argument("--d-llm", type=float, default=0.020)
+    config_options(p)
     p.add_argument("--overlap", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_bench_latency)

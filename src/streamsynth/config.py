@@ -6,6 +6,8 @@ import hashlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .cfm import MaskKind
+
 __all__ = ["ConfigError", "RunConfig", "load_config", "split_seed"]
 
 
@@ -101,9 +103,6 @@ class RunConfig:
         return digest[:16]
 
 
-_MASK_NAMES = ("noncausal", "causal", "chunk", "chunk2")
-
-
 def _validate(cfg: RunConfig, problems: list[str]) -> None:
     if cfg.run.seed < 0:
         problems.append("run.seed must be >= 0")
@@ -117,8 +116,9 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
         problems.append("cfm.nfe must be >= 1")
     if cfg.cfm.beta < 0:
         problems.append("cfm.beta must be >= 0")
-    if cfg.cfm.mask not in _MASK_NAMES:
-        problems.append(f"cfm.mask must be one of {_MASK_NAMES}")
+    masks = tuple(kind.value for kind in MaskKind)
+    if cfg.cfm.mask not in masks:
+        problems.append(f"cfm.mask must be one of {masks}")
     if cfg.cfm.chunk_frames < 1:
         problems.append("cfm.chunk_frames must be >= 1")
     if not 0.0 <= cfg.cfm.p_uncond < 1.0:
@@ -127,9 +127,9 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
         problems.append("rl.tau must be positive")
     if cfg.rl.beta_dpo <= 0:
         problems.append("rl.beta_dpo must be positive")
-    for name in ("d_lm", "d_fm", "d_voc", "d_llm"):
-        if getattr(cfg.latency, name) < 0:
-            problems.append(f"latency.{name} must be >= 0")
+    for f in fields(cfg.latency):
+        if getattr(cfg.latency, f.name) < 0:
+            problems.append(f"latency.{f.name} must be >= 0")
 
 
 def load_config(path=None, overrides: dict[str, str] | None = None) -> RunConfig:

@@ -8,6 +8,7 @@ alignment and consistency are learnable at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -18,6 +19,8 @@ __all__ = [
     "MOTIF_LEN",
     "motif_map",
     "gen_pairs",
+    "CorpusFileError",
+    "PreferenceFileError",
     "write_corpus",
     "read_corpus",
     "features_for_tokens",
@@ -27,6 +30,30 @@ __all__ = [
 ]
 
 MOTIF_LEN = 3
+
+
+class CorpusFileError(ValueError):
+    """A corpus file is not UTF-8 text or holds a malformed line."""
+
+
+class PreferenceFileError(ValueError):
+    """A preference file is not UTF-8 text or holds a malformed line."""
+
+
+def _lines(path, error: type[ValueError]) -> list[tuple[int, str]]:
+    """(line number, stripped text) of every non-blank line of a UTF-8 file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8 text") from None
+    return [(n, line.strip()) for n, line in enumerate(text.split("\n"), 1) if line.strip()]
+
+
+def _ints(field: str, path, lineno: int, error: type[ValueError]) -> list[int]:
+    try:
+        return [int(t) for t in field.split()]
+    except ValueError:
+        raise error(f"{path}:{lineno}: non-integer token") from None
 
 
 def motif_map(vocab: Vocabulary, rng: np.random.Generator) -> dict[int, tuple[int, ...]]:
@@ -79,17 +106,12 @@ def write_corpus(path, pairs) -> None:
 
 def read_corpus(path) -> list[tuple[list[int], list[int]]]:
     pairs = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            left, sep, right = line.partition(" | SPEECH")
-            if not left.startswith("TEXT") or not sep:
-                raise ValueError(f"{path}:{lineno}: malformed corpus line")
-            text = [int(t) for t in left[len("TEXT"):].split()]
-            speech = [int(s) for s in right.split()]
-            pairs.append((text, speech))
+    for lineno, line in _lines(path, CorpusFileError):
+        left, sep, right = line.partition(" | SPEECH")
+        if not left.startswith("TEXT") or not sep:
+            raise CorpusFileError(f"{path}:{lineno}: malformed corpus line")
+        pairs.append((_ints(left[len("TEXT"):], path, lineno, CorpusFileError),
+                      _ints(right, path, lineno, CorpusFileError)))
     return pairs
 
 
@@ -117,10 +139,14 @@ def two_moons(rng: np.random.Generator, n: int, noise: float = 0.08):
     """Balanced two-moons cloud; returns (points [n, 2], moon labels [n])."""
     labels = rng.integers(0, 2, size=n)
     theta = rng.uniform(0.0, np.pi, size=n)
+    return _moon_arcs(labels, theta) + noise * rng.standard_normal((n, 2)), labels
+
+
+def _moon_arcs(labels, theta):
+    """Point at angle ``theta`` on the upper (label 0) or lower (label 1) moon."""
     x = np.where(labels == 0, np.cos(theta), 1.0 - np.cos(theta))
     y = np.where(labels == 0, np.sin(theta), 0.5 - np.sin(theta))
-    pts = np.stack([x, y], axis=1) + noise * rng.standard_normal((n, 2))
-    return pts, labels
+    return np.stack([x, y], axis=1)
 
 
 # benchmark geometry for the flow-matching sampler: centered, slightly
@@ -132,9 +158,7 @@ _MOON_CENTER = np.array([0.5, 0.25])
 
 
 def _moon_points(labels, theta):
-    x = np.where(labels == 0, np.cos(theta), 1.0 - np.cos(theta))
-    y = np.where(labels == 0, np.sin(theta), 0.5 - np.sin(theta))
-    return (np.stack([x, y], axis=1) - _MOON_CENTER) * MOON_SCALE
+    return (_moon_arcs(labels, theta) - _MOON_CENTER) * MOON_SCALE
 
 
 def two_moons_tokens(rng: np.random.Generator, n: int, bins: int = MOON_BINS,
@@ -181,18 +205,11 @@ def write_preference_file(path, records) -> None:
 
 def read_preference_file(path) -> list[PreferenceRecord]:
     records = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(" | ")
-            if len(parts) != 3 or not parts[0].startswith("Y") \
-                    or not parts[1].startswith("W") or not parts[2].startswith("L"):
-                raise ValueError(f"{path}:{lineno}: malformed preference line")
-            records.append(PreferenceRecord(
-                [int(t) for t in parts[0][1:].split()],
-                [int(t) for t in parts[1][1:].split()],
-                [int(t) for t in parts[2][1:].split()],
-            ))
+    for lineno, line in _lines(path, PreferenceFileError):
+        parts = line.split(" | ")
+        if len(parts) != 3 or not parts[0].startswith("Y") \
+                or not parts[1].startswith("W") or not parts[2].startswith("L"):
+            raise PreferenceFileError(f"{path}:{lineno}: malformed preference line")
+        records.append(PreferenceRecord(
+            *(_ints(part[1:], path, lineno, PreferenceFileError) for part in parts)))
     return records

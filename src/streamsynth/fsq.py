@@ -4,7 +4,8 @@ A codec projects hidden vectors into a low-rank space of D dimensions,
 rounds each coordinate into the integer grid [-K, K], and projects back up.
 The digit vector maps to a single integer token through a (2K+1)-ary code
 with digits offset by +K, so tokens live in [0, (2K+1)^D - 1] and encoding
-and decoding are mutually inverse.
+and decoding are mutually inverse. ``train_toy_tokenizer`` trains a codec as
+the bottleneck of a small supervised tokenizer.
 """
 
 from __future__ import annotations
@@ -12,12 +13,14 @@ from __future__ import annotations
 import io
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import tensor as T
-from .nn import Linear
+from .config import split_seed
+from .nn import Adam, Linear
 from .tensor import Tensor
 
 __all__ = [
@@ -29,13 +32,10 @@ __all__ = [
     "encode_index",
     "decode_index",
     "utilization",
+    "train_toy_tokenizer",
     "write_token_file",
     "read_token_file",
 ]
-
-# one speech token covers 40 ms of signal in the modeled pipeline
-TOKEN_RATE_HZ = 25
-
 
 class TokenFileError(ValueError):
     """A token file's header or one of its token lines is malformed."""
@@ -147,10 +147,6 @@ class FsqCodec:
         digits = bounded_round(low.data, self.config.k)
         return digits, up
 
-    def encode_tokens(self, h: Tensor) -> list[int]:
-        digits, _ = self.quantize(h)
-        return [encode_index(row, self.config.k) for row in digits]
-
 
 def utilization(tokens: Iterable[int], config: FsqConfig):
     """Fraction of the codebook observed plus a per-token histogram."""
@@ -162,6 +158,45 @@ def utilization(tokens: Iterable[int], config: FsqConfig):
         hist[mu] += 1
     fraction = len(hist) / config.codebook_size
     return fraction, dict(hist)
+
+
+def train_toy_tokenizer(config: FsqConfig, hidden: int, labels: Sequence[Sequence[int]],
+                        n_labels: int, steps: int, seed: int) -> tuple[FsqCodec, float, float]:
+    """Train a codec as the bottleneck of a toy supervised tokenizer.
+
+    Every label in [0, n_labels) has a fixed gaussian feature vector. Each
+    step picks one label sequence, and an encoder, the codec and a label
+    classifier learn to recover the labels from noisy copies of their
+    vectors. Returns the codec with the classifier's accuracy and the
+    codebook utilization over the last 50 steps.
+    """
+    init = np.random.default_rng(split_seed(seed, "fsq-init"))
+    data = np.random.default_rng(split_seed(seed, "fsq-data"))
+    rng = np.random.default_rng(split_seed(seed, "fsq-train"))
+    codec = FsqCodec(config, hidden=hidden, rng=init)
+    enc1 = Linear(init, hidden, hidden, std=0.3)
+    enc2 = Linear(init, hidden, hidden, std=0.3)
+    head = Linear(init, hidden, n_labels, std=0.3)
+    params = codec.parameters() + enc1.parameters() + enc2.parameters() + head.parameters()
+    base = data.normal(0.0, 1.0, (n_labels, hidden))
+    opt = Adam(params, lr=5e-3)
+    hits = total = 0
+    tokens_seen: list[int] = []
+    for step in range(steps):
+        seq = list(labels[int(rng.integers(len(labels)))])
+        x = Tensor(base[seq] + 0.1 * rng.standard_normal((len(seq), hidden)))
+        opt.zero_grad()
+        with T.Tape() as tape:
+            digits, up = codec.quantize(T.relu(enc2(T.relu(enc1(x)))))
+            logits = head(T.relu(up))
+            loss = T.cross_entropy_ignore(logits, seq, [False] * len(seq))
+        tape.backward(loss)
+        opt.step()
+        if step >= steps - 50:
+            hits += int((np.argmax(logits.data, axis=1) == np.array(seq)).sum())
+            total += len(seq)
+            tokens_seen.extend(encode_index(row, config.k) for row in digits)
+    return codec, hits / max(total, 1), utilization(tokens_seen, config)[0]
 
 
 class VqBaseline:
@@ -199,26 +234,29 @@ def write_token_file(path, tokens: Sequence[int], config: FsqConfig) -> None:
 
 
 def read_token_file(path) -> tuple[list[int], FsqConfig]:
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if not header.startswith("#fsq "):
-            raise TokenFileError(f"{path}: missing #fsq header")
-        fields = dict(part.partition("=")[::2] for part in header[len("#fsq "):].split())
-        if not (fields.get("D", "").isdecimal() and fields.get("K", "").isdecimal()):
-            raise TokenFileError(f"{path}: #fsq header needs D=<int> and K=<int>")
+    try:
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError:
+        raise TokenFileError(f"{path}: not UTF-8 text") from None
+    header = lines[0].strip()
+    if not header.startswith("#fsq "):
+        raise TokenFileError(f"{path}: missing #fsq header")
+    fields = dict(part.partition("=")[::2] for part in header[len("#fsq "):].split())
+    if not (fields.get("D", "").isdecimal() and fields.get("K", "").isdecimal()):
+        raise TokenFileError(f"{path}: #fsq header needs D=<int> and K=<int>")
+    try:
+        config = FsqConfig(d=int(fields["D"]), k=int(fields["K"]))
+    except ValueError as exc:
+        raise TokenFileError(f"{path}: {exc}") from None
+    tokens = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
         try:
-            config = FsqConfig(d=int(fields["D"]), k=int(fields["K"]))
-        except ValueError as exc:
-            raise TokenFileError(f"{path}: {exc}") from None
-        tokens = []
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            try:
-                tokens.append(int(line))
-            except ValueError:
-                raise TokenFileError(
-                    f"{path}:{lineno}: token {line.strip()!r} is not an integer") from None
+            tokens.append(int(line))
+        except ValueError:
+            raise TokenFileError(
+                f"{path}:{lineno}: token {line.strip()!r} is not an integer") from None
     for mu in tokens:
         if mu < 0 or mu >= config.codebook_size:
             raise RangeError(f"{path}: token {mu} outside codebook")

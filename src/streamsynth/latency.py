@@ -74,7 +74,6 @@ def scripted_token_source(total_tokens: int, m: int) -> Iterable[Sequence[int]]:
 def simulate(token_chunks: Iterable[Sequence[int]], timing: StageTiming, m: int,
              n_text: int = 0, overlap: bool = False,
              feature_stage: Callable | None = None,
-             vocoder_stage: Callable | None = None,
              wall_clock: bool = False) -> LatencyReport:
     """Measure the virtual first-package latency of a chunked pipeline.
 
@@ -84,9 +83,9 @@ def simulate(token_chunks: Iterable[Sequence[int]], timing: StageTiming, m: int,
     chat text source d_llm per token before the LM may start. In the default
     sequential mode the stages of the first package run back to back,
     matching the additive bound; with ``overlap`` each stage starts as soon
-    as its input token exists. Optional stage callables are invoked on the
-    package (and a wall-clock mode exists for demos), but time comes from
-    the virtual clock alone.
+    as its input token exists. An optional ``feature_stage`` is invoked on
+    the package; with ``wall_clock`` its measured time is charged as
+    ``compute``, otherwise time comes from the virtual clock alone.
     """
     text_ready = n_text * timing.d_llm
     first: list[int] | None = None
@@ -102,9 +101,8 @@ def simulate(token_chunks: Iterable[Sequence[int]], timing: StageTiming, m: int,
 
     k = len(first)
     start = time.perf_counter() if wall_clock else 0.0
-    features = feature_stage(first) if feature_stage is not None else first
-    samples = vocoder_stage(features) if vocoder_stage is not None else features
-    del samples
+    if feature_stage is not None:
+        feature_stage(first)
     elapsed = (time.perf_counter() - start) if wall_clock else 0.0
 
     if overlap:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from .cfm import CfmConfig, CfmModel
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .fsq import FsqCodec, FsqConfig
 from .seqlm import ToyLM, Vocabulary
 
@@ -25,6 +27,21 @@ def _restore(model, params: dict[str, np.ndarray]) -> None:
         p.data = arr.astype(np.float64).copy()
 
 
+def _load(path, module: str, build):
+    """The model ``build(metadata)`` makes, with the parameters saved in ``path``."""
+    found, params, meta = load_checkpoint(path)
+    if found != module:
+        raise CheckpointError(f"{path}: checkpoint holds {found}, not {module}")
+    try:
+        model = build(meta)
+        _restore(model, params)
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: checkpoint lacks {exc}") from None
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    return model
+
+
 def save_lm(path, model: ToyLM) -> None:
     meta = {
         "speech_size": str(model.vocab.speech_size),
@@ -37,37 +54,19 @@ def save_lm(path, model: ToyLM) -> None:
 
 
 def load_lm(path) -> ToyLM:
-    module, params, meta = load_checkpoint(path)
-    if module != "seqlm.ToyLM":
-        raise ValueError(f"{path}: checkpoint holds {module}, not a ToyLM")
-    vocab = Vocabulary(int(meta["speech_size"]), int(meta["text_size"]))
-    model = ToyLM(vocab, dim=int(meta["dim"]), n_blocks=int(meta["n_blocks"]),
-                  max_len=int(meta["max_len"]))
-    _restore(model, params)
-    return model
+    return _load(path, "seqlm.ToyLM", lambda meta: ToyLM(
+        Vocabulary(int(meta["speech_size"]), int(meta["text_size"])),
+        dim=int(meta["dim"]), n_blocks=int(meta["n_blocks"]), max_len=int(meta["max_len"])))
 
 
 def save_cfm(path, model: CfmModel) -> None:
-    c = model.config
-    meta = {name: str(getattr(c, name)) for name in (
-        "n_features", "token_vocab", "token_embed", "hidden", "speaker_dim",
-        "lookahead", "n_align_blocks", "n_estimator_blocks", "time_dim")}
-    meta.update(p_uncond=repr(c.p_uncond), beta=repr(c.beta), nfe=str(c.nfe))
+    meta = {f.name: repr(getattr(model.config, f.name)) for f in fields(CfmConfig)}
     save_checkpoint(path, "cfm.CfmModel", _named(model), meta)
 
 
 def load_cfm(path) -> CfmModel:
-    module, params, meta = load_checkpoint(path)
-    if module != "cfm.CfmModel":
-        raise ValueError(f"{path}: checkpoint holds {module}, not a CfmModel")
-    ints = {name: int(meta[name]) for name in (
-        "n_features", "token_vocab", "token_embed", "hidden", "speaker_dim",
-        "lookahead", "n_align_blocks", "n_estimator_blocks", "time_dim")}
-    cfg = CfmConfig(**ints, p_uncond=float(meta["p_uncond"]),
-                    beta=float(meta["beta"]), nfe=int(meta["nfe"]))
-    model = CfmModel(cfg)
-    _restore(model, params)
-    return model
+    return _load(path, "cfm.CfmModel", lambda meta: CfmModel(CfmConfig(**{
+        f.name: type(f.default)(meta[f.name]) for f in fields(CfmConfig)})))
 
 
 def save_codec(path, codec: FsqCodec) -> None:
@@ -77,10 +76,5 @@ def save_codec(path, codec: FsqCodec) -> None:
 
 
 def load_codec(path) -> FsqCodec:
-    module, params, meta = load_checkpoint(path)
-    if module != "fsq.FsqCodec":
-        raise ValueError(f"{path}: checkpoint holds {module}, not an FsqCodec")
-    codec = FsqCodec(FsqConfig(int(meta["d"]), int(meta["k"])),
-                     hidden=int(meta["hidden"]))
-    _restore(codec, params)
-    return codec
+    return _load(path, "fsq.FsqCodec", lambda meta: FsqCodec(
+        FsqConfig(int(meta["d"]), int(meta["k"])), hidden=int(meta["hidden"])))

@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .fsq import FsqCodec, decode_index, digit_table
 from .nn import Adam, Linear, param_fingerprint
-from .seqlm import (InterleaveConfig, LmCache, ToyLM, Vocabulary, build_icl_prompt,
+from .seqlm import (InterleaveConfig, ToyLM, Vocabulary, build_icl_prompt,
                     build_nonstream, generate, top_k_sampler)
 from .tensor import Tensor
 
@@ -209,18 +209,21 @@ def sample_speech_guided(lm: ToyLM, text: Sequence[int], n_tokens: int,
     """Sample exactly n_tokens speech tokens after ``S, text, T``.
 
     Sampling is restricted to the speech sub-vocabulary; the length comes
-    from the corpus token rate, not from any per-sample label.
+    from the corpus token rate, not from any per-sample label. Raises
+    ``ValueError`` when the prompt and n_tokens do not fit the LM's max_len.
     """
     vocab = lm.vocab
-    ids = [vocab.sos, *text, vocab.tos]
-    cache = LmCache()
-    sampler = top_k_sampler(top_k)
-    out: list[int] = []
-    for _ in range(n_tokens):
-        tok = sampler(lm.logits_last(ids, cache)[: vocab.speech_size], rng)
-        ids.append(tok)
-        out.append(tok)
-    return out
+    top = top_k_sampler(top_k)
+    cfg = InterleaveConfig()
+    prompt = build_icl_prompt(vocab, [], text, [], "nonstream", cfg)
+    speech = generate(lm, prompt, vocab, cfg,
+                      lambda logits, rng: top(logits[: vocab.speech_size], rng),
+                      rng, max_len=n_tokens).speech
+    if len(speech) < n_tokens:
+        # speech-only sampling never emits E, so only the LM's length cap stops it short
+        raise ValueError(f"sequence length {len(prompt.ids) + n_tokens - 1} "
+                         f"exceeds max_len {lm.max_len}")
+    return speech
 
 
 def asr_reward_step(lm: ToyLM, asr: ToyAsrBackend, text: Sequence[int], tau: float,
@@ -367,15 +370,12 @@ def _clip_grads(params, max_norm: float) -> None:
 
 def finetune_asr(lm: ToyLM, asr: ToyAsrBackend, texts, steps: int,
                  rng: np.random.Generator, tau: float = 1.0, lr: float = 3e-4,
-                 anneal_to: float | None = None, batch_size: int = 4,
-                 clip_norm: float = 1.0) -> float:
+                 batch_size: int = 4, clip_norm: float = 1.0) -> float:
     """ASR-reward tuning with sampled contexts and clipped gradients."""
     params = lm.parameters()
     opt = Adam(params, lr=lr)
     last = float("inf")
-    for step in range(steps):
-        cur_tau = tau if anneal_to is None else \
-            tau + (anneal_to - tau) * step / max(steps - 1, 1)
+    for _ in range(steps):
         opt.zero_grad()
         with T.Tape() as tape:
             loss = None
@@ -384,7 +384,7 @@ def finetune_asr(lm: ToyLM, asr: ToyAsrBackend, texts, steps: int,
                 # half the batch scores the greedy path, half explores around it
                 speech = sample_speech_guided(lm, text, GROUP * len(text), rng,
                                               top_k=1 if i % 2 == 0 else 5)
-                term = T.scale(asr_reward_step(lm, asr, text, cur_tau, rng, speech),
+                term = T.scale(asr_reward_step(lm, asr, text, tau, rng, speech),
                                1.0 / batch_size)
                 loss = term if loss is None else T.add(loss, term)
         tape.backward(loss)

@@ -157,10 +157,13 @@ def build_nonstream(vocab: Vocabulary, text: Sequence[int], speech: Sequence[int
     return _finish(vocab, ids, score_turn_token)
 
 
-def build_stream(vocab: Vocabulary, text: Sequence[int], speech: Sequence[int],
-                 cfg: InterleaveConfig, score_turn_token: bool = False) -> TokenSequence:
-    text = list(text)
-    speech = list(speech)
+def _stream_prefix(vocab: Vocabulary, text: list[int], speech: list[int],
+                   cfg: InterleaveConfig) -> tuple[list[int], int, int]:
+    """``S``, then each group of N text ids followed by its M speech ids.
+
+    Stops after a short text group, or after a full one whose speech falls
+    short. Returns the ids and how many text and speech ids they hold.
+    """
     ids = [vocab.sos]
     ti = si = 0
     while ti < len(text):
@@ -168,12 +171,21 @@ def build_stream(vocab: Vocabulary, text: Sequence[int], speech: Sequence[int],
         ti += len(grp)
         ids.extend(grp)
         if len(grp) < cfg.n:
-            break  # ran out mid-group: straight to turn-of-speech
-        ids.extend(speech[si : si + cfg.m])
-        si = min(si + cfg.m, len(speech))
-    ids.append(vocab.tos)
-    ids.extend(speech[si:])
-    ids.append(vocab.eos)
+            break
+        s = speech[si : si + cfg.m]
+        si += len(s)
+        ids.extend(s)
+        if len(s) < cfg.m:
+            break
+    return ids, ti, si
+
+
+def build_stream(vocab: Vocabulary, text: Sequence[int], speech: Sequence[int],
+                 cfg: InterleaveConfig, score_turn_token: bool = False) -> TokenSequence:
+    text = list(text)
+    speech = list(speech)
+    ids, ti, si = _stream_prefix(vocab, text, speech, cfg)
+    ids += [*text[ti:], vocab.tos, *speech[si:], vocab.eos]
     return _finish(vocab, ids, score_turn_token)
 
 
@@ -250,23 +262,10 @@ def build_icl_prompt(vocab: Vocabulary, prompt_text: Sequence[int], text: Sequen
         ids = [vocab.sos, *full_text, vocab.tos, *prompt_speech]
         return PromptState(ids, streaming=False, past_turn=True)
 
-    ids = [vocab.sos]
-    ti = si = 0
-    while ti < len(full_text):
-        grp = full_text[ti : ti + cfg.n]
-        ti += len(grp)
-        ids.extend(grp)
-        if len(grp) < cfg.n:
-            break  # text exhausted mid-group: turn of speech comes next
-        if si >= len(prompt_speech):
-            # prompt speech exhausted at a boundary: the model fills this group
-            return PromptState(ids, True, text_left=full_text[ti:], group_fill=0)
-        s = prompt_speech[si : si + cfg.m]
-        si += len(s)
-        ids.extend(s)
-        if len(s) < cfg.m:
-            # prompt speech exhausted mid-group: the model completes it
-            return PromptState(ids, True, text_left=full_text[ti:], group_fill=len(s))
+    ids, ti, si = _stream_prefix(vocab, full_text, prompt_speech, cfg)
+    if si < cfg.m * (ti // cfg.n):
+        # prompt speech ran out inside a full text group: the model fills it
+        return PromptState(ids, True, text_left=full_text[ti:], group_fill=si % cfg.m)
     ids.append(vocab.tos)
     ids.extend(prompt_speech[si:])
     return PromptState(ids, True, past_turn=True)
@@ -507,7 +506,7 @@ def sequence_loss(model: ToyLM, sequences: Sequence[TokenSequence]) -> Tensor:
 
 def train_lm(model: ToyLM, sequences: Sequence[TokenSequence], steps: int,
              rng: np.random.Generator, lr: float = 3e-3, batch_size: int = 16,
-             target_loss: float | None = None, log_every: int = 0) -> float:
+             target_loss: float | None = None) -> float:
     """Adam training loop; returns the full-corpus loss after the last step."""
     params = model.parameters()
     opt = Adam(params, lr=lr)
@@ -521,8 +520,6 @@ def train_lm(model: ToyLM, sequences: Sequence[TokenSequence], steps: int,
             loss = sequence_loss(model, batch)
         tape.backward(loss)
         opt.step()
-        if log_every and step % log_every == 0:
-            print(f"  step {step}: batch loss {loss.item():.4f}")
         if target_loss is not None and step % 25 == 24:
             loss_val = evaluate_loss(model, seqs)
             if loss_val <= target_loss:

@@ -1,9 +1,12 @@
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from streamsynth.cli import main
+from streamsynth.checkpoint import load_checkpoint, save_checkpoint
+from streamsynth.cli import build_parser, main
 
 TINY = [
     "--seed", "5",
@@ -69,6 +72,11 @@ class TestValidation:
         code = run("gen-data", "--out", tmp_path / "x", "--set", "fsq.bogus=1")
         assert code == 2
         assert "fsq.bogus" in capsys.readouterr().err
+
+    def test_override_without_value_named(self, tmp_path, capsys):
+        code = run("gen-data", "--out", tmp_path / "x", "--set", "seqlm.pairs")
+        assert code == 2
+        assert "seqlm.pairs" in capsys.readouterr().err
 
     def test_missing_checkpoint_names_path(self, tmp_path, capsys):
         code = run("eval", "--lm", tmp_path / "nope.ssyn", "--data", tmp_path,
@@ -167,6 +175,18 @@ class TestSynthesize:
         assert code == 1
         assert "truncated" in err and "Traceback" not in err
 
+    def test_checkpoint_without_metadata_key_exits_cleanly(self, workspace, tmp_path, capsys):
+        _, _, runs, text = workspace
+        module, params, meta = load_checkpoint(runs / "lm.ssyn")
+        extra = {k: v for k, v in meta.items()
+                 if k not in ("module", "dim") and not k.startswith("shape.")}
+        save_checkpoint(tmp_path / "nodim.ssyn", module, list(params.items()), extra)
+        code = run("synthesize", "--lm", tmp_path / "nodim.ssyn", "--cfm", runs / "cfm.ssyn",
+                   "--text", text, "--nfe", "2", "--out", tmp_path / "o", *TINY)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "nodim.ssyn" in err and "dim" in err and "Traceback" not in err
+
     def test_bad_feature_file_exits_cleanly(self, workspace, tmp_path, capsys):
         _, data, _, _ = workspace
         bad = tmp_path / "data"
@@ -184,8 +204,9 @@ class TestSynthesize:
 
 class TestBenchLatency:
     def test_report_lines(self, tmp_path, capsys):
-        assert run("bench-latency", "--n", "5", "--m", "15", "--d-lm", "0.01",
-                   "--d-fm", "0.005", "--d-voc", "0.002", "--d-llm", "0.02",
+        assert run("bench-latency", "--set", "seqlm.n=5", "--set", "seqlm.m=15",
+                   "--set", "latency.d_lm=0.01", "--set", "latency.d_fm=0.005",
+                   "--set", "latency.d_voc=0.002", "--set", "latency.d_llm=0.02",
                    "--out", tmp_path / "lat") == 0
         out = capsys.readouterr().out
         assert "l_tts_formula=0.255" in out
@@ -194,7 +215,8 @@ class TestBenchLatency:
         assert "l_tts_simulated=0.255" in report
 
     def test_overlap_flag(self, capsys):
-        assert run("bench-latency", "--m", "10", "--d-lm", "0.01", "--overlap") == 0
+        assert run("bench-latency", "--set", "seqlm.m=10", "--set", "latency.d_lm=0.01",
+                   "--overlap") == 0
         assert "overlap=True" in capsys.readouterr().out
 
 
@@ -208,3 +230,28 @@ class TestFinetuneCommand:
         assert "metric.margin_before=" in report
         assert (out / "preferences.txt").exists()
         assert (out / "lm_finetuned.ssyn").exists()
+
+
+def _readme_commands() -> list[str]:
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    commands, current = [], ""
+    for line in lines:
+        line = line.strip()
+        if current or line.startswith("streamsynth "):
+            current += line.rstrip("\\") + " "
+            if not line.endswith("\\"):
+                commands.append(current)
+                current = ""
+    return commands
+
+
+class TestReadme:
+    def test_every_cli_example_parses(self):
+        commands = _readme_commands()
+        assert any(c.startswith("streamsynth bench-latency") for c in commands)
+        parser = build_parser()
+        for command in commands:
+            try:
+                parser.parse_args(shlex.split(command)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {command}")

@@ -256,6 +256,15 @@ class TestGuidedSampling:
             assert sampler(logits, rng) == tok
             ids.append(tok)
 
+    def test_too_short_lm_raises(self, world):
+        vocab = world[0]
+        lm = ToyLM(vocab, dim=8, n_blocks=1, max_len=8, rng=np.random.default_rng(5))
+        text = [vocab.text_id(s) for s in (1, 2, 3)]
+        # S, 3 text ids, T, then 4 tokens: the last is sampled from 8 ids
+        assert len(rl.sample_speech_guided(lm, text, 4, np.random.default_rng(0))) == 4
+        with pytest.raises(ValueError, match="exceeds max_len 8"):
+            rl.sample_speech_guided(lm, text, 5, np.random.default_rng(0))
+
 
 class TestFinetuneLoops:
     def test_preference_pairs_shape(self, world):
