@@ -62,6 +62,12 @@ def _speaker(cfg: RunConfig) -> np.ndarray:
     return rng.normal(0.0, 1.0, cfg.cfm.speaker_dim)
 
 
+def _sampling(cfg: RunConfig) -> dict:
+    """The flow-matching sampler settings, which streaming and offline share."""
+    return {"nfe": cfg.cfm.nfe, "beta": cfg.cfm.beta,
+            "spec": cfm_mod.MaskSpec(cfm_mod.MaskKind(cfg.cfm.mask), cfg.cfm.chunk_frames)}
+
+
 def _corpus_assets(cfg: RunConfig):
     vocab = _vocab(cfg)
     rng = np.random.default_rng(split_seed(cfg.run.seed, "corpus"))
@@ -88,8 +94,7 @@ def cmd_gen_data(args) -> int:
     vocab, motifs, pairs = _corpus_assets(cfg)
     dataio.write_corpus(out / "corpus.txt", pairs)
     speaker = _speaker(cfg)
-    with open(out / "speaker.txt", "w", encoding="utf-8", newline="\n") as f:
-        f.write(" ".join(repr(float(x)) for x in speaker) + "\n")
+    dataio.write_speaker_file(out / "speaker.txt", speaker)
     feat_dir = out / "features"
     feat_dir.mkdir(exist_ok=True)
     frng = np.random.default_rng(split_seed(cfg.run.seed, "features"))
@@ -149,9 +154,8 @@ def _train_lm(cfg: RunConfig, data: Path, out: Path) -> dict[str, float]:
 
 def _train_cfm(cfg: RunConfig, data: Path, out: Path) -> dict[str, float]:
     pairs = dataio.read_corpus(_require_file(data / "corpus.txt", "corpus"))
-    speaker = np.array([float(x) for x in
-                        _require_file(data / "speaker.txt", "speaker vector")
-                        .read_text().split()])
+    speaker = dataio.read_speaker_file(_require_file(data / "speaker.txt", "speaker vector"),
+                                       cfg.cfm.speaker_dim)
     features = [_target_features(data, i) for i in range(len(pairs))]
     codebook = fsq_mod.FsqConfig(cfg.fsq.d, cfg.fsq.k).codebook_size
     mcfg = cfm_mod.CfmConfig(token_vocab=codebook, **{
@@ -216,7 +220,6 @@ def cmd_synthesize(args) -> int:
     icfg = seqlm.InterleaveConfig(cfg.seqlm.n, cfg.seqlm.m)
     text = _parse_text(vocab, args.text)
     speaker = _speaker(cfg)
-    spec = cfm_mod.MaskSpec(cfm_mod.MaskKind(args.mask), chunk=args.chunk_frames)
     seed = split_seed(cfg.run.seed, "synthesize-noise")
     ref = cfm_mod.FeatureSeq(np.zeros((0, model.config.n_features)))
 
@@ -227,8 +230,7 @@ def cmd_synthesize(args) -> int:
         chunk_iter = seqlm.generate_chunks(lm, prompt, vocab, icfg, _sink=result)
         frames = []
         for k, feat in enumerate(cfm_mod.stream_generate(
-                model, chunk_iter, speaker, ref, nfe=args.nfe, beta=args.beta,
-                spec=spec, seed=seed)):
+                model, chunk_iter, speaker, ref, **_sampling(cfg), seed=seed)):
             frames.append(feat.frames)
             print(f"--chunk {k}--")
         feats = cfm_mod.FeatureSeq(np.concatenate(frames, axis=0) if frames
@@ -237,7 +239,7 @@ def cmd_synthesize(args) -> int:
         result = seqlm.generate(lm, prompt, vocab, icfg)
         cond = cfm_mod.ConditionSet(speaker, result.speech, ref)
         feats = cfm_mod.sample(model, cond, cfm_mod.UPSAMPLE * len(result.speech),
-                               nfe=args.nfe, beta=args.beta, spec=spec, seed=seed)
+                               **_sampling(cfg), seed=seed)
     tokens = result.speech
     fsq_mod.write_token_file(out / "tokens.txt", tokens,
                              fsq_mod.FsqConfig(cfg.fsq.d, cfg.fsq.k))
@@ -267,9 +269,6 @@ def cmd_finetune(args) -> int:
     rng = np.random.default_rng(split_seed(cfg.run.seed, "finetune"))
     texts = [t for t, _ in pairs]
     metrics: dict[str, float] = {}
-    tau = args.tau if args.tau is not None else cfg.rl.tau
-    beta_dpo = args.beta_dpo if args.beta_dpo is not None else cfg.rl.beta_dpo
-    steps = args.steps if args.steps is not None else cfg.rl.steps
 
     if args.objective in ("dpo", "both"):
         ref = rl_mod.clone_frozen_lm(lm)
@@ -279,7 +278,8 @@ def cmd_finetune(args) -> int:
             return 1
         dataio.write_preference_file(out / "preferences.txt", prefs)
         metrics["margin_before"] = rl_mod.preference_margin(lm, prefs)
-        rl_mod.finetune_dpo(lm, ref, prefs, steps, rng, beta_dpo=beta_dpo, lr=cfg.rl.lr)
+        rl_mod.finetune_dpo(lm, ref, prefs, cfg.rl.steps, rng, beta_dpo=cfg.rl.beta_dpo,
+                            lr=cfg.rl.lr)
         metrics["margin_after"] = rl_mod.preference_margin(lm, prefs)
     if args.objective in ("asr", "both"):
         icfg = seqlm.InterleaveConfig(cfg.seqlm.n, cfg.seqlm.m)
@@ -293,7 +293,8 @@ def cmd_finetune(args) -> int:
             return float(np.mean(losses))
 
         metrics["asr_loss_before"] = generated_asr_loss()
-        rl_mod.finetune_asr(lm, asr, texts, steps, rng, tau=tau, lr=cfg.rl.lr)
+        rl_mod.finetune_asr(lm, asr, texts, cfg.rl.steps, rng, tau=cfg.rl.tau,
+                            lr=cfg.rl.lr)
         metrics["asr_loss_after"] = generated_asr_loss()
 
     persist.save_lm(out / "lm_finetuned.ssyn", lm)
@@ -356,10 +357,7 @@ def cmd_eval(args) -> int:
         for i, (_, speech) in enumerate(pairs[:5]):
             cond = cfm_mod.ConditionSet(speaker, speech, ref)
             feats = cfm_mod.sample(model, cond, cfm_mod.UPSAMPLE * len(speech),
-                                   nfe=cfg.cfm.nfe, beta=cfg.cfm.beta,
-                                   spec=cfm_mod.MaskSpec(cfm_mod.MaskKind(cfg.cfm.mask),
-                                                         cfg.cfm.chunk_frames),
-                                   seed=split_seed(cfg.run.seed, f"eval-{i}"))
+                                   **_sampling(cfg), seed=split_seed(cfg.run.seed, f"eval-{i}"))
             sampled.append(feats.frames)
             target.append(_target_features(data, i).frames)
         metrics["energy_distance"] = cfm_mod.energy_distance(
@@ -400,10 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cfm", required=True, help="flow-matching checkpoint path")
     p.add_argument("--text", required=True, help="space-separated text symbol ids")
     p.add_argument("--mode", choices=("offline", "stream"), default="offline")
-    p.add_argument("--mask", choices=[k.value for k in cfm_mod.MaskKind], default="chunk")
-    p.add_argument("--chunk-frames", type=int, default=30)
-    p.add_argument("--nfe", type=int, default=10)
-    p.add_argument("--beta", type=float, default=0.7)
     p.set_defaults(fn=cmd_synthesize)
 
     p = sub.add_parser("finetune", help="DPO / differentiable ASR-reward tuning")
@@ -411,9 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lm", required=True, help="LM checkpoint path")
     p.add_argument("--data", required=True, help="gen-data output directory")
     p.add_argument("--objective", choices=("dpo", "asr", "both"), required=True)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--beta-dpo", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
     p.set_defaults(fn=cmd_finetune)
 
     p = sub.add_parser("bench-latency", help="first-package latency model + simulator")

@@ -139,8 +139,12 @@ def load_config(path=None, overrides: dict[str, str] | None = None) -> RunConfig
     entries: list[tuple[str, str, str, str]] = []  # (section, key, value, where)
 
     if path is not None:
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise ConfigError([f"{path}: not UTF-8 text"]) from None
         section = None
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

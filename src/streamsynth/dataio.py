@@ -7,12 +7,12 @@ alignment and consistency are learnable at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .cfm import UPSAMPLE, FeatureSeq
+from .rl import PreferencePair
 from .seqlm import Vocabulary
 
 __all__ = [
@@ -21,8 +21,11 @@ __all__ = [
     "gen_pairs",
     "CorpusFileError",
     "PreferenceFileError",
+    "SpeakerFileError",
     "write_corpus",
     "read_corpus",
+    "write_speaker_file",
+    "read_speaker_file",
     "features_for_tokens",
     "two_moons",
     "write_preference_file",
@@ -40,13 +43,21 @@ class PreferenceFileError(ValueError):
     """A preference file is not UTF-8 text or holds a malformed line."""
 
 
-def _lines(path, error: type[ValueError]) -> list[tuple[int, str]]:
-    """(line number, stripped text) of every non-blank line of a UTF-8 file."""
+class SpeakerFileError(ValueError):
+    """A speaker file is not UTF-8 text or not a vector of the expected finite reals."""
+
+
+def _text(path, error: type[ValueError]) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise error(f"{path}: not UTF-8 text") from None
-    return [(n, line.strip()) for n, line in enumerate(text.split("\n"), 1) if line.strip()]
+
+
+def _lines(path, error: type[ValueError]) -> list[tuple[int, str]]:
+    """(line number, stripped text) of every non-blank line of a UTF-8 file."""
+    return [(n, line.strip()) for n, line in enumerate(_text(path, error).split("\n"), 1)
+            if line.strip()]
 
 
 def _ints(field: str, path, lineno: int, error: type[ValueError]) -> list[int]:
@@ -115,31 +126,54 @@ def read_corpus(path) -> list[tuple[list[int], list[int]]]:
     return pairs
 
 
+def write_speaker_file(path, speaker: np.ndarray) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(" ".join(repr(float(x)) for x in speaker) + "\n")
+
+
+def read_speaker_file(path, dim: int) -> np.ndarray:
+    """The speaker vector: ``dim`` finite reals separated by whitespace."""
+    fields = _text(path, SpeakerFileError).split()
+    try:
+        speaker = np.array([float(x) for x in fields])
+    except ValueError:
+        raise SpeakerFileError(f"{path}: non-numeric value") from None
+    if not np.isfinite(speaker).all():
+        raise SpeakerFileError(f"{path}: non-finite value")
+    if speaker.size != dim:
+        raise SpeakerFileError(f"{path}: {speaker.size} values, expected {dim}")
+    return speaker
+
+
+_TABLE_SEED = 977  # seeds the fixed per-token and speaker tables of the toy targets
+
+
 def features_for_tokens(tokens: list[int], speaker_v: np.ndarray, n_features: int,
-                        rng: np.random.Generator | None = None,
-                        noise: float = 0.05, table_seed: int = 977) -> FeatureSeq:
+                        rng: np.random.Generator | None = None) -> FeatureSeq:
     """Toy acoustic targets: per-token base vectors under a speaker-dependent
-    affine map, upsampled by two with a parity offset, plus optional noise."""
+    affine map, upsampled by two with a parity offset, plus gaussian noise of
+    std 0.05 drawn from ``rng`` when one is given."""
     speaker_v = np.asarray(speaker_v, dtype=np.float64)
     gain = 1.0 + 0.1 * float(np.tanh(speaker_v.sum()))
-    mix = np.random.default_rng((table_seed, 1)).normal(0.0, 0.2, (speaker_v.size, n_features))
+    mix = np.random.default_rng((_TABLE_SEED, 1)).normal(0.0, 0.2, (speaker_v.size, n_features))
     shift = speaker_v @ mix
-    parity = np.random.default_rng((table_seed, 2)).normal(0.0, 0.3, n_features)
+    parity = np.random.default_rng((_TABLE_SEED, 2)).normal(0.0, 0.3, n_features)
     frames = np.empty((UPSAMPLE * len(tokens), n_features))
     for i, tok in enumerate(tokens):
-        base = np.random.default_rng((table_seed, 3, int(tok))).normal(0.0, 1.0, n_features)
+        base = np.random.default_rng((_TABLE_SEED, 3, int(tok))).normal(0.0, 1.0, n_features)
         for p in range(UPSAMPLE):
             frames[UPSAMPLE * i + p] = gain * base + shift + p * parity
-    if rng is not None and noise > 0.0:
-        frames += noise * rng.standard_normal(frames.shape)
+    if rng is not None:
+        frames += 0.05 * rng.standard_normal(frames.shape)
     return FeatureSeq(frames)
 
 
-def two_moons(rng: np.random.Generator, n: int, noise: float = 0.08):
-    """Balanced two-moons cloud; returns (points [n, 2], moon labels [n])."""
+def two_moons(rng: np.random.Generator, n: int):
+    """Balanced two-moons cloud with noise std 0.08; returns (points [n, 2],
+    moon labels [n])."""
     labels = rng.integers(0, 2, size=n)
     theta = rng.uniform(0.0, np.pi, size=n)
-    return _moon_arcs(labels, theta) + noise * rng.standard_normal((n, 2)), labels
+    return _moon_arcs(labels, theta) + 0.08 * rng.standard_normal((n, 2)), labels
 
 
 def _moon_arcs(labels, theta):
@@ -161,34 +195,26 @@ def _moon_points(labels, theta):
     return (_moon_arcs(labels, theta) - _MOON_CENTER) * MOON_SCALE
 
 
-def two_moons_tokens(rng: np.random.Generator, n: int, bins: int = MOON_BINS,
-                     noise: float = MOON_NOISE):
+def two_moons_tokens(rng: np.random.Generator, n: int):
     """Two-moons points with fine-grained arc tokens.
 
-    Token = moon * bins + arc bin; theta is uniform so every token is
+    Token = moon * MOON_BINS + arc bin; theta is uniform so every token is
     equiprobable and the pooled marginal is the plain two-moons cloud.
     """
     labels = rng.integers(0, 2, size=n)
-    arc = rng.integers(0, bins, size=n)
-    theta = (arc + rng.uniform(0.0, 1.0, size=n)) * (np.pi / bins)
-    pts = _moon_points(labels, theta) + noise * rng.standard_normal((n, 2))
-    return pts, labels * bins + arc
+    arc = rng.integers(0, MOON_BINS, size=n)
+    theta = (arc + rng.uniform(0.0, 1.0, size=n)) * (np.pi / MOON_BINS)
+    pts = _moon_points(labels, theta) + MOON_NOISE * rng.standard_normal((n, 2))
+    return pts, labels * MOON_BINS + arc
 
 
-def moon_frames_for_token(token: int, rng: np.random.Generator, n_frames: int = 2,
-                          bins: int = MOON_BINS, noise: float = MOON_NOISE) -> np.ndarray:
-    """Independent draws from one arc-token's blob, shape [n_frames, 2]."""
-    label, arc = divmod(int(token), bins)
-    theta = (arc + rng.uniform(0.0, 1.0, size=n_frames)) * (np.pi / bins)
-    labels = np.full(n_frames, label)
-    return _moon_points(labels, theta) + noise * rng.standard_normal((n_frames, 2))
-
-
-@dataclass
-class PreferenceRecord:
-    context: list[int]
-    preferred: list[int]
-    rejected: list[int]
+def moon_frames_for_token(token: int, rng: np.random.Generator) -> np.ndarray:
+    """Independent draws from one arc-token's blob, one per upsampled frame:
+    shape [UPSAMPLE, 2]."""
+    label, arc = divmod(int(token), MOON_BINS)
+    theta = (arc + rng.uniform(0.0, 1.0, size=UPSAMPLE)) * (np.pi / MOON_BINS)
+    labels = np.full(UPSAMPLE, label)
+    return _moon_points(labels, theta) + MOON_NOISE * rng.standard_normal((UPSAMPLE, 2))
 
 
 def write_preference_file(path, records) -> None:
@@ -203,13 +229,16 @@ def write_preference_file(path, records) -> None:
         f.write("\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_preference_file(path) -> list[PreferenceRecord]:
+def read_preference_file(path) -> list[PreferencePair]:
     records = []
     for lineno, line in _lines(path, PreferenceFileError):
         parts = line.split(" | ")
         if len(parts) != 3 or not parts[0].startswith("Y") \
                 or not parts[1].startswith("W") or not parts[2].startswith("L"):
             raise PreferenceFileError(f"{path}:{lineno}: malformed preference line")
-        records.append(PreferenceRecord(
-            *(_ints(part[1:], path, lineno, PreferenceFileError) for part in parts)))
+        fields = [_ints(part[1:], path, lineno, PreferenceFileError) for part in parts]
+        try:
+            records.append(PreferencePair(*fields))
+        except ValueError as exc:  # an empty field
+            raise PreferenceFileError(f"{path}:{lineno}: {exc}") from None
     return records

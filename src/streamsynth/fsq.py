@@ -114,20 +114,18 @@ def digit_table(config: FsqConfig) -> np.ndarray:
 
 
 class FsqCodec:
-    """Projection pair around the bounded-round bottleneck.
+    """Projection pair, both with biases, around the bounded-round bottleneck.
 
-    The hidden width of the projection source space and the use of biases
-    are configuration, not fixed; defaults keep both biases on.
+    The hidden width of the projection source space is configuration.
     """
 
     def __init__(self, config: FsqConfig, hidden: int = 16,
-                 rng: np.random.Generator | None = None,
-                 bias_down: bool = True, bias_up: bool = True):
+                 rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.config = config
         self.hidden = hidden
-        self.proj_down = Linear(rng, hidden, config.d, std=0.4, bias=bias_down)
-        self.proj_up = Linear(rng, config.d, hidden, std=0.4, bias=bias_up)
+        self.proj_down = Linear(rng, hidden, config.d, std=0.4)
+        self.proj_up = Linear(rng, config.d, hidden, std=0.4)
 
     def parameters(self):
         return self.proj_down.parameters() + self.proj_up.parameters()
@@ -202,14 +200,14 @@ def train_toy_tokenizer(config: FsqConfig, hidden: int, labels: Sequence[Sequenc
 class VqBaseline:
     """Nearest-neighbor vector quantizer, kept only as a utilization baseline.
 
-    A randomly placed codebook leaves distant entries dead, which is the
+    A randomly placed codebook (gaussian, std 3) leaves distant entries dead, which is the
     behavior the bounded-round codec is measured against.
     """
 
     def __init__(self, codebook_size: int, dim: int,
-                 rng: np.random.Generator | None = None, spread: float = 3.0):
+                 rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.codebook = rng.normal(0.0, spread, size=(codebook_size, dim))
+        self.codebook = rng.normal(0.0, 3.0, size=(codebook_size, dim))
 
     def assign(self, h: np.ndarray) -> np.ndarray:
         h = np.asarray(h, dtype=np.float64)

@@ -23,22 +23,18 @@ def normal_init(rng: np.random.Generator, shape, std: float = 0.02) -> Tensor:
 
 
 class Linear:
-    def __init__(self, rng, d_in: int, d_out: int, std: float = 0.02, bias: bool = True,
-                 zero: bool = False):
+    def __init__(self, rng, d_in: int, d_out: int, std: float = 0.02, zero: bool = False):
         if zero:
             self.w = Tensor(np.zeros((d_in, d_out)), requires_grad=True)
         else:
             self.w = normal_init(rng, (d_in, d_out), std)
-        self.b = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
+        self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor, row_stable: bool = False) -> Tensor:
-        out = T.matmul(x, self.w, row_stable=row_stable)
-        if self.b is not None:
-            out = T.add_rowvec(out, self.b)
-        return out
+        return T.add_rowvec(T.matmul(x, self.w, row_stable=row_stable), self.b)
 
     def parameters(self):
-        return [self.w] if self.b is None else [self.w, self.b]
+        return [self.w, self.b]
 
 
 class LayerNorm:
@@ -54,17 +50,17 @@ class LayerNorm:
 
 
 class TransformerBlock:
-    """Pre-norm single-head attention block with a silu MLP."""
+    """Pre-norm single-head attention block with a silu MLP of width 4 * dim."""
 
-    def __init__(self, rng, dim: int, mlp_ratio: int = 4, std: float = 0.02):
+    def __init__(self, rng, dim: int, std: float = 0.02):
         self.ln1 = LayerNorm(dim)
         self.wq = Linear(rng, dim, dim, std)
         self.wk = Linear(rng, dim, dim, std)
         self.wv = Linear(rng, dim, dim, std)
         self.wo = Linear(rng, dim, dim, std)
         self.ln2 = LayerNorm(dim)
-        self.fc1 = Linear(rng, dim, dim * mlp_ratio, std)
-        self.fc2 = Linear(rng, dim * mlp_ratio, dim, std)
+        self.fc1 = Linear(rng, dim, 4 * dim, std)
+        self.fc2 = Linear(rng, 4 * dim, dim, std)
 
     def __call__(self, x: Tensor, mask: np.ndarray, row_stable: bool = False,
                  kv: list[np.ndarray] | None = None) -> Tensor:
@@ -96,12 +92,11 @@ class TransformerBlock:
 
 
 class Adam:
-    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -128,9 +123,10 @@ class Adam:
 class Ema:
     """Exponential moving average of parameters for evaluation."""
 
-    def __init__(self, params: Sequence[Tensor], decay: float = 0.999):
+    decay = 0.999
+
+    def __init__(self, params: Sequence[Tensor]):
         self.params = list(params)
-        self.decay = decay
         self.shadow = [p.data.copy() for p in self.params]
         self.updates = 0
 
@@ -141,8 +137,8 @@ class Ema:
             s *= d
             s += (1.0 - d) * p.data
 
-    def copy_to(self, params: Sequence[Tensor] | None = None) -> None:
-        for s, p in zip(self.shadow, params if params is not None else self.params):
+    def copy_to(self) -> None:
+        for s, p in zip(self.shadow, self.params):
             p.data = s.copy()
 
 

@@ -23,7 +23,6 @@ from .seqlm import (InterleaveConfig, ToyLM, Vocabulary, build_icl_prompt,
 from .tensor import Tensor
 
 __all__ = [
-    "DpoConfig",
     "PreferencePair",
     "dpo_loss",
     "recover_digits",
@@ -42,15 +41,6 @@ __all__ = [
 ]
 
 GROUP = 3  # speech tokens per text symbol, matching the corpus motif length
-
-
-@dataclass(frozen=True)
-class DpoConfig:
-    beta_dpo: float = 0.1
-
-    def __post_init__(self):
-        if self.beta_dpo <= 0.0:
-            raise ValueError("beta_dpo must be positive")
 
 
 @dataclass
@@ -139,22 +129,22 @@ class ToyAsrBackend:
         return self.text_logits_from_hhat(hhat)
 
 
-def train_asr_backend(asr: ToyAsrBackend, pairs, steps: int, rng: np.random.Generator,
-                      lr: float = 5e-3, digit_noise: float = 0.15) -> float:
+def train_asr_backend(asr: ToyAsrBackend, pairs, steps: int,
+                      rng: np.random.Generator) -> float:
     """Supervised pre-training on ground-truth (speech, text) pairs, then freeze.
 
-    Small gaussian noise on the recovered digits smooths the classifier
-    around each code, which keeps its gradients informative for the soft
-    decodes seen during reward fine-tuning.
+    Small gaussian noise (std 0.15) on the recovered digits smooths the
+    classifier around each code, which keeps its gradients informative for
+    the soft decodes seen during reward fine-tuning.
     """
     params = [p for p in asr.parameters() if p.requires_grad]
-    opt = Adam(params, lr=lr)
+    opt = Adam(params, lr=5e-3)
     d, k = asr.codec.config.d, asr.codec.config.k
     last = float("inf")
     for _ in range(steps):
         text, speech = pairs[int(rng.integers(len(pairs)))]
         digits = recover_digits(speech, d, k).astype(np.float64)
-        digits += digit_noise * rng.standard_normal(digits.shape)
+        digits += 0.15 * rng.standard_normal(digits.shape)
         opt.zero_grad()
         with T.Tape() as tape:
             hhat = asr.codec.proj_up(Tensor(digits))
@@ -282,20 +272,20 @@ def _motif_overlap(speech: Sequence[int], reference: Sequence[int]) -> float:
 
 
 def make_preference_pairs(lm: ToyLM, asr: ToyAsrBackend, texts, motifs,
-                          rng: np.random.Generator,
-                          cfg: InterleaveConfig | None = None,
-                          top_k: int = 8, temperature: float = 1.5) -> list[PreferencePair]:
+                          rng: np.random.Generator) -> list[PreferencePair]:
     """Sample two candidates per context and rank them with the toy rewards.
 
-    Score: negative ASR loss plus a small similarity proxy (overlap with the
-    motif rendering of the text). Contexts whose candidates coincide are
-    dropped: identical samples carry no preference signal.
+    Candidates come from top-8 sampling at temperature 1.5 after a
+    nonstream prompt. Score: negative ASR loss plus a small similarity proxy
+    (overlap with the motif rendering of the text). Contexts whose
+    candidates coincide are dropped: identical samples carry no preference
+    signal.
     """
     from .dataio import speech_for_text
 
     vocab = lm.vocab
-    cfg = cfg if cfg is not None else InterleaveConfig()
-    sampler = top_k_sampler(k=top_k, temperature=temperature)
+    cfg = InterleaveConfig()
+    sampler = top_k_sampler(k=8, temperature=1.5)
     pairs = []
     for text in texts:
         reference = speech_for_text(list(text), motifs)
@@ -316,14 +306,15 @@ def make_preference_pairs(lm: ToyLM, asr: ToyAsrBackend, texts, motifs,
 
 def finetune_dpo(policy: ToyLM, reference: ToyLM, pairs: Sequence[PreferencePair],
                  steps: int, rng: np.random.Generator, beta_dpo: float = 0.1,
-                 lr: float = 1e-4, batch_size: int = 4) -> float:
+                 lr: float = 1e-4) -> float:
+    """DPO steps over batches of up to four preference pairs."""
     vocab = policy.vocab
     params = policy.parameters()
     opt = Adam(params, lr=lr)
     last = float("inf")
     for _ in range(steps):
         batch = [pairs[i] for i in rng.choice(len(pairs),
-                                              size=min(batch_size, len(pairs)),
+                                              size=min(4, len(pairs)),
                                               replace=False)]
         opt.zero_grad()
         with T.Tape() as tape:
@@ -370,8 +361,8 @@ def _clip_grads(params, max_norm: float) -> None:
 
 def finetune_asr(lm: ToyLM, asr: ToyAsrBackend, texts, steps: int,
                  rng: np.random.Generator, tau: float = 1.0, lr: float = 3e-4,
-                 batch_size: int = 4, clip_norm: float = 1.0) -> float:
-    """ASR-reward tuning with sampled contexts and clipped gradients."""
+                 batch_size: int = 4) -> float:
+    """ASR-reward tuning with sampled contexts and gradients clipped to norm 1."""
     params = lm.parameters()
     opt = Adam(params, lr=lr)
     last = float("inf")
@@ -388,7 +379,7 @@ def finetune_asr(lm: ToyLM, asr: ToyAsrBackend, texts, steps: int,
                                1.0 / batch_size)
                 loss = term if loss is None else T.add(loss, term)
         tape.backward(loss)
-        _clip_grads(params, clip_norm)
+        _clip_grads(params, 1.0)
         opt.step()
         last = loss.item()
     return last

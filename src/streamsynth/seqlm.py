@@ -129,7 +129,8 @@ class TokenSequence:
             raise ValueError("ids/targets/loss_mask lengths differ")
 
 
-def _finish(vocab: Vocabulary, ids: list[int], score_turn_token: bool) -> TokenSequence:
+def _finish(vocab: Vocabulary, ids: list[int]) -> TokenSequence:
+    """Next-id targets; speech ids and ``E`` are scored, text and ``T`` are not."""
     targets: list[int] = []
     mask: list[bool] = []
     for i, tok in enumerate(ids):
@@ -144,17 +145,13 @@ def _finish(vocab: Vocabulary, ids: list[int], score_turn_token: bool) -> TokenS
             mask.append(True)
         else:
             targets.append(nxt)
-            scored = vocab.is_speech(nxt) or nxt == vocab.eos
-            if score_turn_token and nxt == vocab.tos:
-                scored = True
-            mask.append(scored)
+            mask.append(vocab.is_speech(nxt) or nxt == vocab.eos)
     return TokenSequence(ids, targets, mask)
 
 
-def build_nonstream(vocab: Vocabulary, text: Sequence[int], speech: Sequence[int],
-                    score_turn_token: bool = False) -> TokenSequence:
-    ids = [vocab.sos, *text, vocab.tos, *speech, vocab.eos]
-    return _finish(vocab, ids, score_turn_token)
+def build_nonstream(vocab: Vocabulary, text: Sequence[int],
+                    speech: Sequence[int]) -> TokenSequence:
+    return _finish(vocab, [vocab.sos, *text, vocab.tos, *speech, vocab.eos])
 
 
 def _stream_prefix(vocab: Vocabulary, text: list[int], speech: list[int],
@@ -181,12 +178,11 @@ def _stream_prefix(vocab: Vocabulary, text: list[int], speech: list[int],
 
 
 def build_stream(vocab: Vocabulary, text: Sequence[int], speech: Sequence[int],
-                 cfg: InterleaveConfig, score_turn_token: bool = False) -> TokenSequence:
+                 cfg: InterleaveConfig) -> TokenSequence:
     text = list(text)
     speech = list(speech)
     ids, ti, si = _stream_prefix(vocab, text, speech, cfg)
-    ids += [*text[ti:], vocab.tos, *speech[si:], vocab.eos]
-    return _finish(vocab, ids, score_turn_token)
+    return _finish(vocab, ids + [*text[ti:], vocab.tos, *speech[si:], vocab.eos])
 
 
 def deinterleave(seq: TokenSequence | Sequence[int], cfg: InterleaveConfig,

@@ -24,7 +24,6 @@ __all__ = [
     "TapeError",
     "EmptyLossError",
     "MaskedRowError",
-    "tensor",
     "add",
     "sub",
     "mul",
@@ -109,10 +108,6 @@ class Tensor:
     def __repr__(self) -> str:
         req = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{req})"
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
 
 
 class _Node:
@@ -624,16 +619,17 @@ def mean_all(a: Tensor) -> Tensor:
 def check_gradients(
     f: Callable[[], Tensor],
     point: Sequence[Tensor],
-    step: float = 1e-4,
     max_coords: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Compare reverse-mode gradients of ``f`` against central differences.
+    """Compare reverse-mode gradients of ``f`` against central differences
+    with step 1e-4.
 
     ``f`` must be a deterministic closure over the tensors in ``point``.
     Returns the maximum relative error over all checked coordinates; pass
     ``max_coords`` to subsample coordinates of large parameter sets.
     """
+    step = 1e-4
     for p in point:
         p.zero_grad()
     with Tape() as tape:

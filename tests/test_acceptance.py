@@ -319,7 +319,7 @@ def test_criterion_08_two_moons_sampling_quality():
     model = CfmModel(cfg, np.random.default_rng(11))
     params = model.parameters()
     opt = Adam(params, lr=2e-3)
-    ema = Ema(params, decay=0.999)
+    ema = Ema(params)
     rng = np.random.default_rng(22)
     v = np.zeros(2)
     steps, batch = 6000, 8
@@ -532,7 +532,7 @@ def test_criterion_14_reproducibility(tmp_path):
                          "--out", str(runs), *args]) == 0
         assert cli_main(["synthesize", "--lm", str(runs / "lm.ssyn"),
                          "--cfm", str(runs / "cfm.ssyn"), "--text", "1 2 3",
-                         "--mode", "stream", "--nfe", "2", "--out", str(syn),
+                         "--mode", "stream", "--set", "cfm.nfe=2", "--out", str(syn),
                          *args]) == 0
         tree = {}
         for base in (data, runs, syn):

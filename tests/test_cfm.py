@@ -206,8 +206,7 @@ class TestTrainingStep:
         data = []
         for _ in range(6):
             tokens = [int(t) for t in rng.integers(0, SMALL.token_vocab, 4)]
-            data.append((tokens, features_for_tokens(tokens, v, SMALL.n_features,
-                                                     rng, noise=0.05)))
+            data.append((tokens, features_for_tokens(tokens, v, SMALL.n_features, rng)))
         losses = []
         for step in range(1400):
             opt.zero_grad()

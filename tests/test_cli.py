@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import shlex
 import shutil
 from pathlib import Path
@@ -7,6 +9,7 @@ import pytest
 
 from streamsynth.checkpoint import load_checkpoint, save_checkpoint
 from streamsynth.cli import build_parser, main
+from streamsynth.config import RunConfig
 
 TINY = [
     "--seed", "5",
@@ -78,6 +81,25 @@ class TestValidation:
         assert code == 2
         assert "seqlm.pairs" in capsys.readouterr().err
 
+    def test_non_utf8_config_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"[run]\nseed=0 # caf\xe9\n")
+        code = run("gen-data", "--config", bad, "--out", tmp_path / "x")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "bad.cfg: not UTF-8" in err and "Traceback" not in err
+
+    def test_no_option_shadows_a_config_key(self):
+        cfg = RunConfig()
+        keys = {f.name for section in dataclasses.fields(cfg)
+                for f in dataclasses.fields(getattr(cfg, section.name))}
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        for name, sub in subparsers.choices.items():
+            for action in sub._actions:
+                assert action.dest == "seed" or action.dest not in keys, \
+                    f"{name} --{action.dest} shadows a config key"
+
     def test_missing_checkpoint_names_path(self, tmp_path, capsys):
         code = run("eval", "--lm", tmp_path / "nope.ssyn", "--data", tmp_path,
                    "--out", tmp_path / "o", *TINY)
@@ -131,7 +153,7 @@ class TestSynthesize:
         _, _, runs, text = workspace
         off, strm = tmp_path / "off", tmp_path / "strm"
         base = ["synthesize", "--lm", runs / "lm.ssyn", "--cfm", runs / "cfm.ssyn",
-                "--text", text, "--nfe", "4", "--mask", "chunk", *TINY]
+                "--text", text, "--set", "cfm.nfe=4", "--set", "cfm.mask=chunk", *TINY]
         assert run(*base, "--mode", "offline", "--out", off) == 0
         assert run(*base, "--mode", "stream", "--out", strm) == 0
         assert (off / "tokens.txt").read_bytes() == (strm / "tokens.txt").read_bytes()
@@ -141,7 +163,7 @@ class TestSynthesize:
     def test_stream_prints_chunk_markers(self, workspace, tmp_path, capsys):
         _, _, runs, text = workspace
         assert run("synthesize", "--lm", runs / "lm.ssyn", "--cfm", runs / "cfm.ssyn",
-                   "--text", text, "--nfe", "2", "--mode", "stream",
+                   "--text", text, "--set", "cfm.nfe=2", "--mode", "stream",
                    "--out", tmp_path / "s", *TINY) == 0
         assert "--chunk 0--" in capsys.readouterr().out
 
@@ -149,7 +171,7 @@ class TestSynthesize:
         _, _, runs, text = workspace
         a, b = tmp_path / "a", tmp_path / "b"
         base = ["synthesize", "--lm", runs / "lm.ssyn", "--cfm", runs / "cfm.ssyn",
-                "--text", text, "--nfe", "2", "--mode", "offline", *TINY]
+                "--text", text, "--set", "cfm.nfe=2", "--mode", "offline", *TINY]
         assert run(*base, "--out", a) == 0
         assert run(*base, "--out", b) == 0
         assert (a / "tokens.txt").read_bytes() == (b / "tokens.txt").read_bytes()
@@ -159,7 +181,7 @@ class TestSynthesize:
         _, data, runs, text = workspace
         before = {f.name: f.read_bytes() for f in data.iterdir() if f.is_file()}
         assert run("synthesize", "--lm", runs / "lm.ssyn", "--cfm", runs / "cfm.ssyn",
-                   "--text", text, "--nfe", "2", "--mode", "offline",
+                   "--text", text, "--set", "cfm.nfe=2", "--mode", "offline",
                    "--out", tmp_path / "o", *TINY) == 0
         after = {f.name: f.read_bytes() for f in data.iterdir() if f.is_file()}
         assert before == after
@@ -170,7 +192,7 @@ class TestSynthesize:
         cut = tmp_path / "cut.ssyn"
         cut.write_bytes(raw[: 12 + int.from_bytes(raw[8:12], "little") + 3])
         code = run("synthesize", "--lm", cut, "--cfm", runs / "cfm.ssyn", "--text", text,
-                   "--nfe", "2", "--mode", "stream", "--out", tmp_path / "o", *TINY)
+                   "--set", "cfm.nfe=2", "--mode", "stream", "--out", tmp_path / "o", *TINY)
         err = capsys.readouterr().err
         assert code == 1
         assert "truncated" in err and "Traceback" not in err
@@ -182,7 +204,7 @@ class TestSynthesize:
                  if k not in ("module", "dim") and not k.startswith("shape.")}
         save_checkpoint(tmp_path / "nodim.ssyn", module, list(params.items()), extra)
         code = run("synthesize", "--lm", tmp_path / "nodim.ssyn", "--cfm", runs / "cfm.ssyn",
-                   "--text", text, "--nfe", "2", "--out", tmp_path / "o", *TINY)
+                   "--text", text, "--set", "cfm.nfe=2", "--out", tmp_path / "o", *TINY)
         err = capsys.readouterr().err
         assert code == 1
         assert "nodim.ssyn" in err and "dim" in err and "Traceback" not in err
@@ -200,6 +222,27 @@ class TestSynthesize:
         err = capsys.readouterr().err
         assert code == 1
         assert "pair_000.sfea:2: non-numeric value" in err and "Traceback" not in err
+
+
+    def test_nfe_from_config_changes_features(self, workspace, tmp_path):
+        _, _, runs, text = workspace
+        base = ["synthesize", "--lm", runs / "lm.ssyn", "--cfm", runs / "cfm.ssyn",
+                "--text", text, "--mode", "offline", *TINY]
+        assert run(*base, "--set", "cfm.nfe=2", "--out", tmp_path / "a") == 0
+        assert run(*base, "--set", "cfm.nfe=3", "--out", tmp_path / "b") == 0
+        assert (tmp_path / "a" / "features.sfea").read_bytes() != \
+            (tmp_path / "b" / "features.sfea").read_bytes()
+
+    def test_short_speaker_vector_exits_cleanly(self, workspace, tmp_path, capsys):
+        _, data, _, _ = workspace
+        bad = tmp_path / "data"
+        shutil.copytree(data, bad)
+        (bad / "speaker.txt").write_text("0.1 0.2\n")
+        code = run("train", "--target", "cfm", "--data", bad, "--out", tmp_path / "o",
+                   *TINY)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "speaker.txt: 2 values, expected 16" in err and "Traceback" not in err
 
 
 class TestBenchLatency:
@@ -225,7 +268,7 @@ class TestFinetuneCommand:
         _, data, runs, _ = workspace
         out = tmp_path / "ft"
         assert run("finetune", "--lm", runs / "lm.ssyn", "--data", data,
-                   "--objective", "dpo", "--steps", "10", "--out", out, *TINY) == 0
+                   "--objective", "dpo", "--set", "rl.steps=10", "--out", out, *TINY) == 0
         report = (out / "report_finetune.txt").read_text()
         assert "metric.margin_before=" in report
         assert (out / "preferences.txt").exists()

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from streamsynth.config import ConfigError, load_config, split_seed
-from streamsynth.dataio import (MOTIF_LEN, PreferenceRecord, gen_pairs, motif_map,
-                                read_corpus, read_preference_file, two_moons,
-                                write_corpus, write_preference_file)
+from streamsynth.dataio import (MOTIF_LEN, gen_pairs, motif_map, read_corpus,
+                                read_preference_file, two_moons, write_corpus,
+                                write_preference_file)
 from streamsynth.metrics import MetricsReport
+from streamsynth.rl import PreferencePair
 from streamsynth.seqlm import Vocabulary
 
 
@@ -118,7 +119,7 @@ class TestDataIO:
             read_corpus(path)
 
     def test_preference_roundtrip(self, tmp_path):
-        records = [PreferenceRecord([5, 6], [1, 2, 3], [4, 5, 6])]
+        records = [PreferencePair([5, 6], [1, 2, 3], [4, 5, 6])]
         path = tmp_path / "prefs.txt"
         write_preference_file(path, records)
         back = read_preference_file(path)

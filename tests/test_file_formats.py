@@ -1,4 +1,4 @@
-"""Readers of the five file formats fail on bad input with their typed error.
+"""Readers of the six file formats fail on bad input with their typed error.
 
 Each fuzz test mutates a valid file (byte flips, insertions, deletions,
 replacements, truncation) and requires that the reader either parses the
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamsynth import cfm, dataio, fsq
+from streamsynth import cfm, dataio, fsq, rl
 from streamsynth.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from streamsynth.persist import load_lm, save_lm
 from streamsynth.seqlm import ToyLM, Vocabulary
@@ -26,8 +26,16 @@ def _corpus(path):
 
 
 def _preferences(path):
-    dataio.write_preference_file(path, [dataio.PreferenceRecord([30, 31], [1, 2, 3], [4, 5]),
-                                        dataio.PreferenceRecord([29], [6], [7, 8])])
+    dataio.write_preference_file(path, [rl.PreferencePair([30, 31], [1, 2, 3], [4, 5]),
+                                        rl.PreferencePair([29], [6], [7, 8])])
+
+
+def _speaker(path):
+    dataio.write_speaker_file(path, np.array([0.5, -1.25, 3.0e-4]))
+
+
+def _read_speaker(path):
+    return dataio.read_speaker_file(path, 3)
 
 
 def _tokens(path):
@@ -46,6 +54,7 @@ def _checkpoint(path):
 FORMATS = {
     "corpus": (_corpus, dataio.read_corpus, dataio.CorpusFileError),
     "preferences": (_preferences, dataio.read_preference_file, dataio.PreferenceFileError),
+    "speaker": (_speaker, _read_speaker, dataio.SpeakerFileError),
     # a token outside the codebook is the codec's RangeError, which names the path too
     "tokens": (_tokens, fsq.read_token_file, (fsq.TokenFileError, fsq.RangeError)),
     "features": (_features, cfm.read_feature_file, cfm.FeatureFileError),
@@ -126,6 +135,35 @@ def test_non_integer_token_named_with_line(tmp_path, read, error, text):
     line = len(text.rstrip("\n").split("\n"))
     with pytest.raises(error, match=f"bad.txt:{line}: non-integer token"):
         read(path)
+
+
+def test_preference_empty_field_named_with_line(tmp_path):
+    path = tmp_path / "prefs.txt"
+    path.write_text("Y 30 | W 1 | L 2\nY | W 1 | L 2\n")
+    with pytest.raises(dataio.PreferenceFileError, match="prefs.txt:2: .*non-empty"):
+        dataio.read_preference_file(path)
+
+
+@pytest.mark.parametrize("text,why", [
+    ("0.1 abc 0.3\n", "non-numeric value"),
+    ("0.1 nan 0.3\n", "non-finite value"),
+    ("0.1 -inf 0.3\n", "non-finite value"),
+    ("0.1 0.2\n", "2 values, expected 3"),
+    ("", "0 values, expected 3"),
+])
+def test_speaker_file_errors(tmp_path, text, why):
+    path = tmp_path / "speaker.txt"
+    path.write_text(text)
+    with pytest.raises(dataio.SpeakerFileError, match=f"speaker.txt: {why}"):
+        dataio.read_speaker_file(path, 3)
+
+
+def test_speaker_file_roundtrip_bytes(tmp_path):
+    path = tmp_path / "speaker.txt"
+    vector = np.array([0.1, -2.5e-7, 1.0 / 3.0])
+    dataio.write_speaker_file(path, vector)
+    assert path.read_bytes() == b"0.1 -2.5e-07 0.3333333333333333\n"
+    assert np.array_equal(dataio.read_speaker_file(path, 3), vector)
 
 
 @pytest.mark.parametrize("shape", ["2,x", "-1,-2", "1.5", "2,,1"])

@@ -81,7 +81,7 @@ class TestQuantize:
         assert (cfg.d, cfg.k, cfg.codebook_size) == (8, 1, 6561)
 
     def test_zero_input_zero_bias(self):
-        codec = FsqCodec(FsqConfig(d=4, k=1), hidden=6, bias_down=False, bias_up=False)
+        codec = FsqCodec(FsqConfig(d=4, k=1), hidden=6)
         digits, up = codec.quantize(Tensor(np.zeros((3, 6))))
         assert np.array_equal(digits, np.zeros((3, 4)))
         assert np.array_equal(up.data, np.zeros((3, 6)))

@@ -38,7 +38,7 @@ class TestBlocks:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_transformer_block_gradients(self, seed):
         rng = np.random.default_rng(seed)
-        block = TransformerBlock(rng, dim=6, mlp_ratio=2, std=0.1)
+        block = TransformerBlock(rng, dim=6, std=0.1)
         x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
         mask = np.tril(np.ones((4, 4), dtype=bool))
         err = T.check_gradients(

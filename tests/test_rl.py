@@ -4,6 +4,7 @@ import pytest
 from streamsynth import dataio
 from streamsynth import rl
 from streamsynth import tensor as T
+from streamsynth.config import load_config
 from streamsynth.fsq import FsqCodec, FsqConfig, decode_index, encode_index
 from streamsynth.seqlm import (InterleaveConfig, ToyLM, Vocabulary,
                                build_nonstream, build_stream, top_k_sampler, train_lm)
@@ -66,7 +67,7 @@ class TestDpoLoss:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            rl.DpoConfig(beta_dpo=0.0)
+            load_config(overrides={"rl.beta_dpo": "0.0"})
         with pytest.raises(ValueError):
             rl.PreferencePair([], [1], [2])
 

@@ -69,10 +69,8 @@ class TestBuildNonstream:
     def test_turn_token_scoring_toggle(self):
         a = text_ids(2)[0]
         off = build_nonstream(VOCAB, [a], [5])
-        on = build_nonstream(VOCAB, [a], [5], score_turn_token=True)
         pos = 1  # the text position predicting T
         assert off.targets[pos] == VOCAB.tos and not off.loss_mask[pos]
-        assert on.targets[pos] == VOCAB.tos and on.loss_mask[pos]
 
 
 class TestBuildStream:
