@@ -485,6 +485,17 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tenso
     whose window lies inside a prefix is reproduced bit for bit when the
     sequence is extended. ``q`` may hold only the last Lq of the Lk rows
     (``mask`` [Lq, Lk]); its outputs then equal those rows of the square call.
+
+    Consecutive rows with equal mask rows share a window and are computed as
+    one group: every row of a chunk under a chunk mask, every row of a
+    non-causal mask, one row per group under a causal mask. A group's scores
+    and outputs are stacked matrix-vector products (``np.matmul`` over
+    ``[n, F, 1]`` and ``[n, 1, W]`` operands), for which numpy calls the
+    same BLAS matrix-vector kernel once per row that a row-by-row loop calls,
+    so a row's bytes do not depend on its group. ``Q @ K.T`` or ``einsum``
+    would run a matrix-matrix kernel whose sums round differently. A window
+    that is one contiguous range, as every mask ``build_mask`` makes is, is
+    read through a slice view instead of an index copy.
     """
     if q.data.ndim != 2 or k.data.ndim != 2 or k.data.shape != v.data.shape \
             or q.data.shape[1] != k.data.shape[1]:
@@ -495,36 +506,44 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tenso
         raise DimensionError(f"mask must be {length}x{k.data.shape[0]}")
     inv_scale = 1.0 / np.sqrt(feat)
 
-    windows: list[np.ndarray] = []
-    probs: list[np.ndarray] = []
+    # consecutive rows with equal mask rows form one group over one window,
+    # so the first row of the first empty group is the first empty row
+    cuts = (np.flatnonzero(np.any(mask[1:] != mask[:-1], axis=1)) + 1).tolist() \
+        if length > 1 else []
+    edges = [0, *cuts, length] if length else []
+    groups: list[tuple[int, int, slice | np.ndarray, np.ndarray]] = []
     data = np.zeros_like(q.data)
-    for i in range(length):
-        idx = np.flatnonzero(mask[i])
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        idx = np.flatnonzero(mask[lo])
         if idx.size == 0:
-            raise MaskedRowError(f"attention row {i} has no allowed positions")
-        scores = (k.data[idx] @ q.data[i]) * inv_scale
-        z = scores - scores.max()
+            raise MaskedRowError(f"attention row {lo} has no allowed positions")
+        if idx[-1] - idx[0] + 1 == idx.size:
+            idx = slice(int(idx[0]), int(idx[-1]) + 1)
+        scores = np.matmul(k.data[idx][None], q.data[lo:hi, :, None])[..., 0] * inv_scale
+        z = scores - scores.max(axis=1, keepdims=True)
         e = np.exp(z)
-        p = e / e.sum()
-        data[i] = p @ v.data[idx]
-        windows.append(idx)
-        probs.append(p)
+        p = e / e.sum(axis=1, keepdims=True)
+        data[lo:hi] = np.matmul(p[:, None, :], v.data[idx][None])[:, 0]
+        groups.append((lo, hi, idx, p))
 
     def bwd(g: np.ndarray) -> None:
         qg = np.zeros_like(q.data) if q.requires_grad else None
         kg = np.zeros_like(k.data) if k.requires_grad else None
         vg = np.zeros_like(v.data) if v.requires_grad else None
-        for i in range(length):
-            idx, p = windows[i], probs[i]
-            gi = g[i]
-            if vg is not None:
-                vg[idx] += p[:, None] * gi
-            gp = v.data[idx] @ gi
-            gs = p * (gp - (gp * p).sum())
+        for lo, hi, idx, p in groups:
+            gg = g[lo:hi]
+            gp = np.matmul(v.data[idx][None], gg[:, :, None])[..., 0]
+            gs = p * (gp - (gp * p).sum(axis=1, keepdims=True))
             if qg is not None:
-                qg[i] = (gs @ k.data[idx]) * inv_scale
+                qg[lo:hi] = np.matmul(gs[:, None, :], k.data[idx][None])[:, 0] * inv_scale
+            # the outer products are exact; adding them into the window one
+            # row at a time, in row order, keeps the float sums of a row loop
+            if vg is not None:
+                for term in p[:, :, None] * gg[:, None, :]:
+                    vg[idx] += term
             if kg is not None:
-                kg[idx] += gs[:, None] * (q.data[i] * inv_scale)
+                for term in gs[:, :, None] * (q.data[lo:hi] * inv_scale)[:, None, :]:
+                    kg[idx] += term
         if qg is not None:
             q.accumulate_grad(qg)
         if kg is not None:

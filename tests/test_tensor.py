@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamsynth import tensor as T
+from streamsynth.cfm import MaskKind, MaskSpec, build_mask
 from streamsynth.tensor import Tape, Tensor
 
 
@@ -220,7 +221,69 @@ class TestCrossEntropy:
         assert err < 1e-4
 
 
+def attention_reference(q, k, v, mask, g):
+    """Row-by-row masked attention and its q, k, v gradients for upstream
+    gradient ``g``: one matrix-vector product per row and direction, the
+    arithmetic the grouped kernel must reproduce byte for byte."""
+    inv_scale = 1.0 / np.sqrt(q.shape[1])
+    windows, probs = [], []
+    out = np.zeros_like(q)
+    for i in range(q.shape[0]):
+        idx = np.flatnonzero(mask[i])
+        scores = (k[idx] @ q[i]) * inv_scale
+        e = np.exp(scores - scores.max())
+        p = e / e.sum()
+        out[i] = p @ v[idx]
+        windows.append(idx)
+        probs.append(p)
+    qg, kg, vg = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+    for i, (idx, p) in enumerate(zip(windows, probs)):
+        vg[idx] += p[:, None] * g[i]
+        gp = v[idx] @ g[i]
+        gs = p * (gp - (gp * p).sum())
+        qg[i] = (gs @ k[idx]) * inv_scale
+        kg[idx] += gs[:, None] * (q[i] * inv_scale)
+    return out, qg, kg, vg
+
+
 class TestMaskedAttention:
+    @given(st.sampled_from(["build", "identity", "random"]), st.sampled_from(list(MaskKind)),
+           st.integers(1, 40), st.integers(1, 200), st.integers(0, 199),
+           st.sampled_from([1, 3, 24, 48]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_row_reference_bytes(self, pattern, kind, chunk, length, start, feat,
+                                         seed):
+        rng = np.random.default_rng(seed)
+        if pattern == "build":
+            mask = build_mask(MaskSpec(kind, chunk), length)
+        elif pattern == "identity":
+            mask = np.eye(length, dtype=bool)
+        else:
+            mask = rng.uniform(size=(length, length)) < 0.5
+            mask[np.arange(length), rng.integers(0, length, length)] = True
+        mask = mask[start % length:]  # rectangular [Lq, Lk], as the stream K/V cache calls
+        q, k, v = (rand(rng, n, feat) for n in (mask.shape[0], length, length))
+        g = rng.normal(size=q.shape)
+        with Tape() as tape:
+            out = T.masked_attention(q, k, v, mask)
+            loss = T.sum_all(T.mul(out, Tensor(g)))
+        tape.backward(loss)
+        want = attention_reference(q.data, k.data, v.data, mask, g)
+        for got, ref in zip((out.data, q.grad, k.grad, v.grad), want):
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("empty_rows, first", [
+        ([2, 3, 4], 2),  # the start of a group of equal empty rows
+        ([4], 4),  # a row inside a chunk of equal rows
+        ([7], 7),  # the last row
+    ])
+    def test_masked_row_error_names_first_empty_row(self, empty_rows, first):
+        mask = build_mask(MaskSpec(MaskKind.CHUNK, 3), 8)
+        mask[empty_rows] = False
+        x = Tensor(np.ones((8, 2)))
+        with pytest.raises(T.MaskedRowError, match=rf"row {first} has"):
+            T.masked_attention(x, x, x, mask)
+
     def test_identity_mask_returns_values(self):
         rng = np.random.default_rng(0)
         q, k, v = (Tensor(rng.normal(size=(5, 3))) for _ in range(3))
