@@ -3,16 +3,18 @@
 The model regresses a time-dependent vector field onto the constant
 displacement x1 - x0 along the linear path (1-t)x0 + t*x1, conditioned on
 speech tokens, a speaker vector and a masked reference feature prefix.
-Attention inside the estimator is restricted by one of four masks; with a
-causal mask the unrolled Euler sampler can run chunk by chunk and emit
-frames as soon as their full dependency cone (attention windows compounded
-across layers and steps, plus the look-ahead convolution) has arrived,
-reproducing the offline result exactly.
+Attention inside the estimator is restricted by one of four masks. Under
+FULL_CAUSAL and CHUNK a window does not widen when the mask is applied
+again, so no frame attends past the end of its own window at any block or
+Euler step. The sampler can then run chunk by chunk and emit a frame as soon
+as the tokens its window and the look-ahead convolution need have arrived,
+reproducing the offline result exactly. CHUNK2 widens by one chunk at every
+application; it trains and samples offline but does not stream.
 
 Streaming keeps state between chunks: an emitted frame is final at every
 Euler step, CFG pass and estimator block, so its keys and values there are
-kept, and each chunk integrates only the frames not yet emitted against
-them. Offline sampling is the same integrator run once from frame 0.
+kept, and each chunk integrates only the frames it completed, once, against
+them. Offline sampling is the same integrator run once over all frames.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "training_step",
     "cfg_field",
     "sample",
+    "StreamingMaskError",
     "stream_generate",
     "energy_distance",
     "write_feature_file",
@@ -56,6 +59,10 @@ UPSAMPLE = 2  # frames per speech token
 
 class FeatureFileError(ValueError):
     """A feature file's header or body is malformed."""
+
+
+class StreamingMaskError(ValueError):
+    """:func:`stream_generate` was given a mask it cannot stream."""
 
 
 @dataclass
@@ -325,22 +332,19 @@ def _frame_noise(seed: int, start: int, stop: int, n_features: int) -> np.ndarra
     return out
 
 
-def _integrate(model: CfmModel, cond: ConditionSet, start: int, length: int, nfe: int,
+def _integrate(model: CfmModel, cond: ConditionSet, start: int, stop: int, nfe: int,
                beta: float, spec: MaskSpec, seed: int, cache: list | None = None) -> np.ndarray:
-    """Euler-integrate frames start:length of a ``length``-frame sequence.
+    """Euler-integrate frames start:stop of the UPSAMPLE x len(cond.tokens) frames.
 
-    Frames before ``start`` must be final, with their keys and values in
-    ``cache``: one [K, V] per (step, CFG pass, estimator block), as the
-    previous call over the same conditions left them. Rows that call
-    computed past ``start`` are dropped and recomputed.
+    No frame before ``stop`` may attend to a frame at or past it under
+    ``spec``. Frames before ``start`` must be final, with their keys and
+    values in ``cache``: one [K, V] per (step, CFG pass, estimator block),
+    to which this call appends those of frames start:stop.
     """
-    for per_block in cache or ():
-        for kv in per_block:
-            kv[:] = [kv[0][:start], kv[1][:start]]
-    mask = build_mask(spec, length)
-    token_feats = Tensor(model.token_conditions(cond.tokens, mask).data[start:])
-    rows = mask[start:]
-    x = _frame_noise(seed, start, length, model.config.n_features)
+    mask = build_mask(spec, UPSAMPLE * len(cond.tokens))
+    token_feats = Tensor(model.token_conditions(cond.tokens, mask).data[start:stop])
+    rows = mask[start:stop, :stop]
+    x = _frame_noise(seed, start, stop, model.config.n_features)
     grid = [cosine_schedule(k / nfe) for k in range(nfe + 1)]
     for k in range(nfe):
         state = Tensor(x)
@@ -363,22 +367,15 @@ def sample(model: CfmModel, cond: ConditionSet, length: int, nfe: int = 10,
     return FeatureSeq(_integrate(model, cond, 0, length, nfe, beta, spec, seed))
 
 
-def _token_horizon(model: CfmModel, frame: int, spec: MaskSpec, nfe: int) -> int:
+def _token_horizon(model: CfmModel, frame: int, spec: MaskSpec) -> int:
     """Last token index frame ``frame`` can depend on, over the whole sampler.
 
-    The estimator applies its attention mask n_estimator_blocks times per
-    field evaluation and the Euler loop evaluates the field nfe times, so
-    attention windows compound; the token-alignment blocks widen twice more,
-    then the look-ahead convolution adds P tokens.
+    Under FULL_CAUSAL and CHUNK ``row_horizon(row_horizon(i)) ==
+    row_horizon(i)``, so the window does not widen across alignment blocks,
+    estimator blocks or Euler steps; the look-ahead convolution then adds P
+    tokens.
     """
-    h = frame
-    applications = model.config.n_estimator_blocks * nfe + model.config.n_align_blocks
-    for _ in range(applications):
-        nxt = spec.row_horizon(h)
-        if nxt == h:
-            break
-        h = nxt
-    return h // UPSAMPLE + model.config.lookahead
+    return spec.row_horizon(frame) // UPSAMPLE + model.config.lookahead
 
 
 def stream_generate(model: CfmModel, token_chunks: Iterable[Sequence[int]],
@@ -388,21 +385,22 @@ def stream_generate(model: CfmModel, token_chunks: Iterable[Sequence[int]],
     """Yield newly determined frames per arriving token chunk.
 
     Concatenated output equals a one-shot :func:`sample` over all tokens with
-    the same mask, noise seed and conditions, exactly. Requires a causal mask.
+    the same mask, noise seed and conditions, exactly. Requires FULL_CAUSAL
+    or CHUNK; any other mask raises :class:`StreamingMaskError`.
 
     The call keeps one piece of state across chunks: the emitted frontier
     ``done`` and, for every frame before it, its keys and values at each
-    (Euler step, CFG pass, estimator block). Those frames are final, so each
-    chunk integrates only frames ``done:length``: the newly determined ones
-    and the provisional ones still waiting on look-ahead, which are
-    recomputed when more tokens arrive. The token conditions are recomputed
-    whole. The state is nfe x 2 x n_estimator_blocks [K, V] pairs of
+    (Euler step, CFG pass, estimator block). Each chunk integrates only the
+    frames it completed, ``done:safe``, once, against that state, which
+    only grows. The token conditions are recomputed over all received
+    tokens. The state is nfe x 2 x n_estimator_blocks [K, V] pairs of
     [done, hidden] float64 arrays; at 192 frames and the default config
     (nfe 10, 3 blocks, hidden 24) that is 4.4 MB.
     """
     spec = spec if spec is not None else MaskSpec(MaskKind.CHUNK)
-    if spec.kind is MaskKind.NON_CAUSAL:
-        raise ValueError("streaming synthesis requires a causal mask")
+    if spec.kind not in (MaskKind.FULL_CAUSAL, MaskKind.CHUNK):
+        raise StreamingMaskError(
+            f"streaming synthesis needs the causal or chunk mask, not {spec.kind.value}")
     if nfe < 1:
         raise ValueError("nfe must be >= 1")
     received: list[int] = []
@@ -415,12 +413,12 @@ def stream_generate(model: CfmModel, token_chunks: Iterable[Sequence[int]],
             received.extend(int(t) for t in chunk)
         length = UPSAMPLE * len(received)
         safe = done if chunk is not None else length
-        while safe < length and _token_horizon(model, safe, spec, nfe) < len(received):
+        while safe < length and _token_horizon(model, safe, spec) < len(received):
             safe += 1
         if safe > done:
             cond = ConditionSet(cond_v, received, ref, ref_flags)
-            x = _integrate(model, cond, done, length, nfe, beta, spec, seed, cache)
-            yield FeatureSeq(x[: safe - done])
+            yield FeatureSeq(_integrate(model, cond, done, safe, nfe, beta, spec, seed,
+                                        cache))
             done = safe
 
 

@@ -207,8 +207,13 @@ def cmd_train(args) -> int:
 
 
 def _parse_text(vocab: seqlm.Vocabulary, raw: str) -> list[int]:
-    symbols = [int(x) for x in raw.split()]
-    return [vocab.text_id(s) for s in symbols]
+    symbols = raw.split()
+    if not symbols or not all(x.removeprefix("-").isdecimal() for x in symbols):
+        raise ValueError(f"--text must be space-separated integer symbol ids, got {raw!r}")
+    try:
+        return [vocab.text_id(int(x)) for x in symbols]
+    except ValueError as exc:
+        raise ValueError(f"--text: {exc}") from None
 
 
 def cmd_synthesize(args) -> int:
@@ -427,7 +432,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, cfm_mod.StreamingMaskError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

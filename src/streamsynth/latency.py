@@ -78,25 +78,24 @@ def simulate(token_chunks: Iterable[Sequence[int]], timing: StageTiming, m: int,
     """Measure the virtual first-package latency of a chunked pipeline.
 
     ``token_chunks`` feeds speech-token packages (from the streaming LM or a
-    script); each token is charged d_lm at the LM, d_fm at the feature
-    stage and d_voc at the vocoder. ``n_text`` > 0 additionally charges the
-    chat text source d_llm per token before the LM may start. In the default
-    sequential mode the stages of the first package run back to back,
-    matching the additive bound; with ``overlap`` each stage starts as soon
-    as its input token exists. An optional ``feature_stage`` is invoked on
-    the package; with ``wall_clock`` its measured time is charged as
+    script); the first package is their first ``m`` tokens, or all of them
+    if the stream ends sooner. Each token is charged d_lm at the LM, d_fm at
+    the feature stage and d_voc at the vocoder. ``n_text`` > 0 additionally
+    charges the chat text source d_llm per token before the LM may start. In
+    the default sequential mode the stages of the first package run back to
+    back, matching the additive bound; with ``overlap`` each stage starts as
+    soon as its input token exists. An optional ``feature_stage`` is invoked
+    on the package; with ``wall_clock`` its measured time is charged as
     ``compute``, otherwise time comes from the virtual clock alone.
     """
     text_ready = n_text * timing.d_llm
-    first: list[int] | None = None
-    for chunk in token_chunks:
-        chunk = list(chunk)
-        if chunk:
-            first = chunk[:m]
-        if first is not None and len(first) >= m:
-            first = first[:m]
+    first: list[int] = []
+    for chunk in token_chunks:  # read no further than the first package needs
+        first.extend(chunk)
+        if len(first) >= m:
             break
-    if first is None:
+    first = first[:m]
+    if not first:
         raise SimulationError("pipeline produced no first package")
 
     k = len(first)

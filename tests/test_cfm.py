@@ -293,8 +293,7 @@ class TestSampling:
 
 
 class TestStreaming:
-    @pytest.mark.parametrize("kind", [MaskKind.FULL_CAUSAL, MaskKind.CHUNK,
-                                      MaskKind.CHUNK2])
+    @pytest.mark.parametrize("kind", [MaskKind.FULL_CAUSAL, MaskKind.CHUNK])
     def test_stream_equals_offline(self, kind):
         rng = np.random.default_rng(10)
         model = small_model(seed=4)
@@ -326,11 +325,14 @@ class TestStreaming:
         assert np.array_equal(got, offline.frames)
 
     def test_noncausal_rejected(self):
+        # CHUNK2 widens by a chunk at every block and Euler step, so it is
+        # rejected like NON_CAUSAL
         model = small_model()
-        with pytest.raises(ValueError):
-            list(stream_generate(model, [[1]], np.zeros(SMALL.speaker_dim),
-                                 FeatureSeq(np.zeros((0, SMALL.n_features))),
-                                 spec=MaskSpec(MaskKind.NON_CAUSAL)))
+        for kind in (MaskKind.NON_CAUSAL, MaskKind.CHUNK2):
+            with pytest.raises(cfm.StreamingMaskError, match=kind.value):
+                list(stream_generate(model, [[1]], np.zeros(SMALL.speaker_dim),
+                                     FeatureSeq(np.zeros((0, SMALL.n_features))),
+                                     spec=MaskSpec(kind)))
 
     def test_locality_window_with_lookahead(self):
         # perturbing tokens beyond the chunk window plus look-ahead leaves
@@ -353,7 +355,7 @@ class TestStreaming:
         assert not np.array_equal(base, out)
 
     @settings(max_examples=150, deadline=None)
-    @given(kind=st.sampled_from([MaskKind.FULL_CAUSAL, MaskKind.CHUNK, MaskKind.CHUNK2]),
+    @given(kind=st.sampled_from([MaskKind.FULL_CAUSAL, MaskKind.CHUNK]),
            chunk=st.integers(1, 12), beta=st.sampled_from([0.0, 0.7]),
            sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6),
            ref_len=st.integers(0, 40), seed=st.integers(0, 2**16))
@@ -375,9 +377,8 @@ class TestStreaming:
         assert (got.view(np.uint64) == offline.frames.view(np.uint64)).all()
 
     def test_each_package_integrates_new_rows_only(self, monkeypatch):
-        # one 3-token chunk per package: every package may integrate its new
-        # chunk plus the previous one, still provisional on look-ahead, but
-        # never the whole prefix again
+        # one 3-token chunk per package: every frame is integrated exactly
+        # once, by the package that completes it
         config = CfmConfig(n_features=4, token_vocab=40, token_embed=6, hidden=10,
                            speaker_dim=4, lookahead=2, n_align_blocks=0)
         model = CfmModel(config, np.random.default_rng(3))
@@ -398,14 +399,14 @@ class TestStreaming:
                                      spec=spec, seed=1))
         assert sum(len(p) for p in parts) == 30
         calls_per_row = 2 * 2 * config.n_estimator_blocks  # step x pass x block
-        assert sum(rows) <= calls_per_row * (30 + spec.chunk * len(chunks))
+        assert sum(rows) == calls_per_row * 30
 
     def test_emission_horizon_respects_lookahead(self):
         model = small_model(seed=7)
         spec = MaskSpec(MaskKind.FULL_CAUSAL)
         # frame 0 needs token 0 plus lookahead 2: available only once
         # three tokens arrived
-        assert cfm._token_horizon(model, 0, spec, nfe=2) == 2
+        assert cfm._token_horizon(model, 0, spec) == 2
 
 
 class TestEnergyDistance:

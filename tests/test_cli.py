@@ -233,6 +233,30 @@ class TestSynthesize:
         assert (tmp_path / "a" / "features.sfea").read_bytes() != \
             (tmp_path / "b" / "features.sfea").read_bytes()
 
+    @pytest.mark.parametrize("mask", ["chunk2", "noncausal"])
+    def test_stream_rejects_unstreamable_mask(self, workspace, tmp_path, capsys, mask):
+        _, _, runs, text = workspace
+        code = run("synthesize", "--lm", runs / "lm.ssyn", "--cfm", runs / "cfm.ssyn",
+                   "--text", text, "--set", "cfm.nfe=2", "--set", f"cfm.mask={mask}",
+                   "--mode", "stream", "--out", tmp_path / "s", *TINY)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert f"not {mask}" in err and "Traceback" not in err
+        assert "--chunk" not in out
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "--text must be space-separated integer symbol ids, got ''"),
+        ("a b", "--text must be space-separated integer symbol ids, got 'a b'"),
+        ("1 99", "--text: text symbol 99 out of range"),
+    ])
+    def test_bad_text_named(self, workspace, tmp_path, capsys, text, message):
+        _, _, runs, _ = workspace
+        code = run("synthesize", "--lm", runs / "lm.ssyn", "--cfm", runs / "cfm.ssyn",
+                   "--text", text, "--out", tmp_path / "s", *TINY)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert message in err and "Traceback" not in err
+
     def test_short_speaker_vector_exits_cleanly(self, workspace, tmp_path, capsys):
         _, data, _, _ = workspace
         bad = tmp_path / "data"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamsynth.latency import (SimulationError, StageTiming, l_chat_bound,
                                  l_tts, scripted_token_source, simulate)
@@ -92,6 +94,32 @@ class TestSimulator:
         report = simulate(scripted_token_source(7, 15), timing, 15)
         assert report.tokens_before_first_package == 7
         assert report.first_package_seconds == pytest.approx(0.07, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=st.lists(st.integers(0, 8), max_size=12), m=st.integers(1, 20),
+           d=st.tuples(*[st.floats(0.0, 0.05)] * 4))
+    def test_first_package_is_first_m_tokens(self, sizes, m, d):
+        # any split of the same tokens into chunks gives the report of the
+        # M-sized feed, and chunks past the first package are never read
+        total = sum(sizes)
+        timing = StageTiming(*d)
+
+        def feed():
+            start = 0
+            for n in sizes:
+                assert start < m, "read past the first package"
+                yield list(range(start, start + n))
+                start += n
+
+        for overlap in (False, True):
+            if total == 0:
+                with pytest.raises(SimulationError):
+                    simulate(feed(), timing, m, n_text=2, overlap=overlap)
+                continue
+            got = simulate(feed(), timing, m, n_text=2, overlap=overlap)
+            want = simulate(scripted_token_source(total, m), timing, m, n_text=2,
+                            overlap=overlap)
+            assert got == want
 
     def test_empty_pipeline_is_error(self):
         with pytest.raises(SimulationError):
