@@ -286,7 +286,7 @@ def training_step(model: CfmModel, x1: FeatureSeq, cond_v: np.ndarray,
     """
     length = len(x1)
     t = float(rng.uniform())
-    x0 = rng.standard_normal(x1.frames.shape)
+    x0 = FeatureSeq(rng.standard_normal(x1.frames.shape))
     flags = _mask_fractions(rng, length)
     ref = x1.frames.copy()
     ref[flags] = 0.0
@@ -295,8 +295,8 @@ def training_step(model: CfmModel, x1: FeatureSeq, cond_v: np.ndarray,
     mask = build_mask(spec, length)
     uncond = bool(rng.uniform() < model.config.p_uncond)
 
-    xt = Tensor((1.0 - t) * x0 + t * x1.frames)
-    target = Tensor(x1.frames - x0)
+    xt = Tensor(ot_path(x0, x1, t).frames)
+    target = Tensor(target_field(x0, x1).frames)
     if oracle_field is not None:
         pred = Tensor(oracle_field)
     else:
@@ -407,7 +407,6 @@ def stream_generate(model: CfmModel, token_chunks: Iterable[Sequence[int]],
     done = 0
     empty = np.zeros((0, model.config.hidden))
     cache = [[[empty, empty] for _ in model.est_blocks] for _ in range(2 * nfe)]
-    ref_flags = np.zeros(len(ref), dtype=bool)
     for chunk in itertools.chain(token_chunks, [None]):  # None: the input has ended
         if chunk is not None:
             received.extend(int(t) for t in chunk)
@@ -416,7 +415,7 @@ def stream_generate(model: CfmModel, token_chunks: Iterable[Sequence[int]],
         while safe < length and _token_horizon(model, safe, spec) < len(received):
             safe += 1
         if safe > done:
-            cond = ConditionSet(cond_v, received, ref, ref_flags)
+            cond = ConditionSet(cond_v, received, ref)
             yield FeatureSeq(_integrate(model, cond, done, safe, nfe, beta, spec, seed,
                                         cache))
             done = safe

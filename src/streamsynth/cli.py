@@ -218,7 +218,6 @@ def _parse_text(vocab: seqlm.Vocabulary, raw: str) -> list[int]:
 
 def cmd_synthesize(args) -> int:
     cfg = _load_cfg(args)
-    out = _out_dir(args.out)
     lm = persist.load_lm(_require_file(args.lm, "LM checkpoint"))
     model = persist.load_cfm(_require_file(args.cfm, "flow-matching checkpoint"))
     vocab = lm.vocab
@@ -246,6 +245,7 @@ def cmd_synthesize(args) -> int:
         feats = cfm_mod.sample(model, cond, cfm_mod.UPSAMPLE * len(result.speech),
                                **_sampling(cfg), seed=seed)
     tokens = result.speech
+    out = _out_dir(args.out)
     fsq_mod.write_token_file(out / "tokens.txt", tokens,
                              fsq_mod.FsqConfig(cfg.fsq.d, cfg.fsq.k))
     cfm_mod.write_feature_file(out / "features.sfea", feats)
@@ -341,7 +341,6 @@ def cmd_bench_latency(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
-    out = _out_dir(args.out)
     data = Path(args.data)
     lm = persist.load_lm(_require_file(args.lm, "LM checkpoint"))
     vocab = lm.vocab
@@ -367,7 +366,7 @@ def cmd_eval(args) -> int:
             target.append(_target_features(data, i).frames)
         metrics["energy_distance"] = cfm_mod.energy_distance(
             np.concatenate(sampled), np.concatenate(target))
-    _report(cfg, metrics).write(out / "report_eval.txt")
+    _report(cfg, metrics).write(_out_dir(args.out) / "report_eval.txt")
     print("eval: " + ", ".join(f"{k}={v:.6g}" for k, v in metrics.items()))
     return 0
 
@@ -435,10 +434,7 @@ def main(argv=None) -> int:
     except (ConfigError, cfm_mod.StreamingMaskError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, RuntimeError) as exc:
+    except (FileNotFoundError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

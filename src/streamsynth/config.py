@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -184,6 +185,9 @@ def load_config(path=None, overrides: dict[str, str] | None = None) -> RunConfig
         except ValueError:
             problems.append(f"{where}: {section}.{key} expects {kind.__name__}, "
                             f"got {value!r}")
+            continue
+        if kind is float and not math.isfinite(parsed):
+            problems.append(f"{where}: {section}.{key} must be finite, got {value!r}")
             continue
         setattr(sec, key, parsed)
 

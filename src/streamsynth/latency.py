@@ -112,16 +112,12 @@ def simulate(token_chunks: Iterable[Sequence[int]], timing: StageTiming, m: int,
             fm_done = max(fm_done, lm_done) + timing.d_fm
             voc_done = max(voc_done, fm_done) + timing.d_voc
         total = voc_done + elapsed
-        breakdown = {
-            "llm": text_ready,
-            "lm": k * timing.d_lm,
-            "fm": fm_done - text_ready - k * timing.d_lm,
-            "voc": voc_done - fm_done,
-            "compute": elapsed,
-        }
-        # the overlap report keeps per-stage busy time; reconcile to the total
-        breakdown["fm"] = total - breakdown["llm"] - breakdown["lm"] \
-            - breakdown["voc"] - breakdown["compute"]
+        lm_t = k * timing.d_lm
+        voc_t = voc_done - fm_done
+        # fm takes what the other stages leave of the total, so it reconciles
+        breakdown = {"llm": text_ready, "lm": lm_t,
+                     "fm": total - text_ready - lm_t - voc_t - elapsed,
+                     "voc": voc_t, "compute": elapsed}
     else:
         lm_t = k * timing.d_lm
         fm_t = k * timing.d_fm

@@ -294,7 +294,7 @@ class GenerationResult:
 
 def _pad_text(ids: list[int], text_left: list[int], vocab: Vocabulary,
               cfg: InterleaveConfig) -> bool:
-    """Append the next text group; a short final group is followed by T.
+    """Append the next text group; a short or empty final group is followed by T.
 
     Mirrors the training-sequence builder: running out of text mid-group
     puts the turn-of-speech token right after it. Returns the new past_turn.
@@ -345,11 +345,8 @@ def generate_chunks(model, prompt: PromptState, vocab: Vocabulary, cfg: Interlea
                 tok = sampler(model.logits_last(ids, cache), rng)
                 if tok != vocab.filling:
                     result.flags.append("missing-filling")
-                past_turn = _pad_text(ids, text_left, vocab, cfg)
-                fill = 0
-            else:
-                ids.append(vocab.tos)
-                past_turn = True
+            past_turn = _pad_text(ids, text_left, vocab, cfg)
+            fill = 0
             continue
         tok = sampler(model.logits_last(ids, cache), rng)
         if tok == vocab.eos:
@@ -366,13 +363,10 @@ def generate_chunks(model, prompt: PromptState, vocab: Vocabulary, cfg: Interlea
                 yield pending
                 pending = []
         elif tok == vocab.filling and not past_turn:
-            if text_left:
-                past_turn = _pad_text(ids, text_left, vocab, cfg)
-                fill = 0
-            else:
+            if not text_left:
                 result.flags.append("filling-with-no-text")
-                ids.append(vocab.tos)
-                past_turn = True
+            past_turn = _pad_text(ids, text_left, vocab, cfg)
+            fill = 0
         else:
             result.flags.append(f"protocol-break:{vocab.category(tok)}")
             break

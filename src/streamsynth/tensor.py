@@ -197,15 +197,13 @@ def _result(
     return out
 
 
-def _as_operands(a: Tensor, b) -> tuple[Tensor, Tensor, bool]:
+def _as_operands(a: Tensor, b) -> tuple[Tensor, Tensor]:
     """Coerce ``b``; only scalar-vs-tensor mixing is allowed beyond same-shape."""
     if not isinstance(b, Tensor):
         b = Tensor(np.float64(b))
-    b_scalar = b.data.ndim == 0
-    a_scalar = a.data.ndim == 0
-    if a.data.shape != b.data.shape and not (a_scalar or b_scalar):
+    if a.data.shape != b.data.shape and a.data.ndim != 0 and b.data.ndim != 0:
         raise DimensionError(f"elementwise shapes {a.shape} vs {b.shape}")
-    return a, b, b_scalar or a_scalar
+    return a, b
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -215,54 +213,54 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.asarray(g.sum(), dtype=np.float64).reshape(shape)
 
 
-def add(a: Tensor, b) -> Tensor:
-    a, b, _ = _as_operands(a, b)
-    data = a.data + b.data
+def _binary(a: Tensor, b: Tensor, data: np.ndarray,
+            grad_a: Callable[[np.ndarray], np.ndarray],
+            grad_b: Callable[[np.ndarray], np.ndarray]) -> Tensor:
+    """Record an elementwise op of two operands; its backward hands
+    ``grad_a(g)`` and ``grad_b(g)``, reduced to each operand's shape, to the
+    operands that require a gradient."""
 
     def bwd(g: np.ndarray) -> None:
         if a.requires_grad:
-            a.accumulate_grad(_reduce_to(g, a.data.shape))
+            a.accumulate_grad(_reduce_to(grad_a(g), a.data.shape))
         if b.requires_grad:
-            b.accumulate_grad(_reduce_to(g, b.data.shape))
+            b.accumulate_grad(_reduce_to(grad_b(g), b.data.shape))
 
     return _result(data, (a, b), bwd)
+
+
+def _unary(a: Tensor, data: np.ndarray, slope: Callable[[], np.ndarray | float]) -> Tensor:
+    """Record an elementwise op of one operand whose derivative is ``slope()``.
+
+    ``slope`` runs only on backward, so a forward pass off the tape does no
+    work for the gradient.
+    """
+
+    def bwd(g: np.ndarray) -> None:
+        if a.requires_grad:
+            a.accumulate_grad(g * slope())
+
+    return _result(data, (a,), bwd)
+
+
+def add(a: Tensor, b) -> Tensor:
+    a, b = _as_operands(a, b)
+    return _binary(a, b, a.data + b.data, lambda g: g, lambda g: g)
 
 
 def sub(a: Tensor, b) -> Tensor:
-    a, b, _ = _as_operands(a, b)
-    data = a.data - b.data
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(_reduce_to(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_reduce_to(-g, b.data.shape))
-
-    return _result(data, (a, b), bwd)
+    a, b = _as_operands(a, b)
+    return _binary(a, b, a.data - b.data, lambda g: g, lambda g: -g)
 
 
 def mul(a: Tensor, b) -> Tensor:
-    a, b, _ = _as_operands(a, b)
-    data = a.data * b.data
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(_reduce_to(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_reduce_to(g * a.data, b.data.shape))
-
-    return _result(data, (a, b), bwd)
+    a, b = _as_operands(a, b)
+    return _binary(a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    data = a.data * c
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g * c)
-
-    return _result(data, (a,), bwd)
+    return _unary(a, a.data * c, lambda: c)
 
 
 def matmul(a: Tensor, b: Tensor, row_stable: bool = False) -> Tensor:
@@ -292,46 +290,23 @@ def matmul(a: Tensor, b: Tensor, row_stable: bool = False) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    data = np.maximum(a.data, 0.0)
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g * (a.data > 0.0))
-
-    return _result(data, (a,), bwd)
+    return _unary(a, np.maximum(a.data, 0.0), lambda: a.data > 0.0)
 
 
 def silu(a: Tensor) -> Tensor:
     sig = 1.0 / (1.0 + np.exp(-a.data))
-    data = a.data * sig
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g * (sig + a.data * sig * (1.0 - sig)))
-
-    return _result(data, (a,), bwd)
+    return _unary(a, a.data * sig, lambda: sig + a.data * sig * (1.0 - sig))
 
 
 def tanh(a: Tensor) -> Tensor:
     data = np.tanh(a.data)
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g * (1.0 - data * data))
-
-    return _result(data, (a,), bwd)
+    return _unary(a, data, lambda: 1.0 - data * data)
 
 
 def softplus(a: Tensor) -> Tensor:
     # log(1 + e^x), computed without overflow
     data = np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data)))
-    sig = 1.0 / (1.0 + np.exp(-a.data))
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g * sig)
-
-    return _result(data, (a,), bwd)
+    return _unary(a, data, lambda: 1.0 / (1.0 + np.exp(-a.data)))
 
 
 _ACTIVATIONS = {"relu": relu, "silu": silu, "tanh": tanh}
@@ -605,13 +580,7 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
 
 
 def abs_val(a: Tensor) -> Tensor:
-    data = np.abs(a.data)
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g * np.sign(a.data))
-
-    return _result(data, (a,), bwd)
+    return _unary(a, np.abs(a.data), lambda: np.sign(a.data))
 
 
 def sum_all(a: Tensor) -> Tensor:

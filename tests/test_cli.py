@@ -89,6 +89,13 @@ class TestValidation:
         assert code == 2
         assert "bad.cfg: not UTF-8" in err and "Traceback" not in err
 
+    def test_non_finite_float_exits_2(self, capsys):
+        code = run("bench-latency", "--set", "latency.d_lm=nan")
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "latency.d_lm must be finite" in err and "Traceback" not in err
+        assert "l_tts_formula" not in out
+
     def test_no_option_shadows_a_config_key(self):
         cfg = RunConfig()
         keys = {f.name for section in dataclasses.fields(cfg)
@@ -243,6 +250,18 @@ class TestSynthesize:
         assert code == 2
         assert f"not {mask}" in err and "Traceback" not in err
         assert "--chunk" not in out
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("command", ["synthesize", "eval"])
+    def test_missing_lm_writes_no_out_dir(self, workspace, tmp_path, capsys, command):
+        _, data, runs, text = workspace
+        extra = {"synthesize": ["--cfm", runs / "cfm.ssyn", "--text", text],
+                 "eval": ["--data", data, "--cfm", runs / "cfm.ssyn"]}[command]
+        code = run(command, "--lm", tmp_path / "nope.ssyn", *extra,
+                   "--out", tmp_path / "o", *TINY)
+        assert code == 1
+        assert "nope.ssyn" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("text, message", [
         ("", "--text must be space-separated integer symbol ids, got ''"),

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from streamsynth.config import ConfigError, load_config, split_seed
+from streamsynth.config import ConfigError, RunConfig, load_config, split_seed
 from streamsynth.dataio import (MOTIF_LEN, gen_pairs, motif_map, read_corpus,
                                 read_preference_file, two_moons, write_corpus,
                                 write_preference_file)
@@ -47,6 +49,26 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert "seqlm.n" in str(err.value)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_floats_rejected(self, value):
+        cfg = RunConfig()
+        keys = [f"{sec.name}.{f.name}" for sec in dataclasses.fields(cfg)
+                for f in dataclasses.fields(getattr(cfg, sec.name))
+                if isinstance(getattr(getattr(cfg, sec.name), f.name), float)]
+        assert len(keys) == 13
+        for key in keys:
+            with pytest.raises(ConfigError) as err:
+                load_config(None, {key: value})
+            assert err.value.problems == [
+                f"override {key}: {key} must be finite, got {value!r}"]
+
+    def test_non_finite_float_in_file_names_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("[rl]\ntau=0.5\nlr=nan\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.problems == ["line 3: rl.lr must be finite, got 'nan'"]
 
     def test_mask_name_validated(self):
         with pytest.raises(ConfigError):

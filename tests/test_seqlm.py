@@ -256,6 +256,36 @@ class TestDriver:
         assert result.ids == [VOCAB.sos, *text[:2], 4, 5, *text[2:], VOCAB.tos,
                               6, 7, VOCAB.eos]
 
+    def test_filling_with_no_text_left_is_flagged(self):
+        cfg = InterleaveConfig(n=2, m=3)
+        text = text_ids(0, 1)
+        model = ScriptedLM(VOCAB, [4, VOCAB.filling, 5, VOCAB.eos])
+        prompt = build_icl_prompt(VOCAB, [], text, [], "stream", cfg)
+        result = generate(model, prompt, VOCAB, cfg)
+        assert result.flags == ["filling-with-no-text"]
+        assert result.ids == [VOCAB.sos, *text, 4, VOCAB.tos, 5, VOCAB.eos]
+
+    def test_full_group_after_last_text_gets_turn_without_probe(self):
+        cfg = InterleaveConfig(n=2, m=3)
+        text = text_ids(0, 1)
+        script = [4, 5, 6, 7, VOCAB.eos]
+        model = ScriptedLM(VOCAB, script)
+        prompt = build_icl_prompt(VOCAB, [], text, [], "stream", cfg)
+        result = generate(model, prompt, VOCAB, cfg)
+        assert result.ids == [VOCAB.sos, *text, 4, 5, 6, VOCAB.tos, 7, VOCAB.eos]
+        assert model.cursor == len(script)  # one query per generated token
+        assert not result.flags
+
+    def test_stray_special_token_breaks_protocol(self):
+        cfg = InterleaveConfig(n=2, m=3)
+        text = text_ids(0, 1)
+        model = ScriptedLM(VOCAB, [4, VOCAB.sos, 5, VOCAB.eos])
+        prompt = build_icl_prompt(VOCAB, [], text, [], "stream", cfg)
+        result = generate(model, prompt, VOCAB, cfg)
+        assert result.flags == ["protocol-break:sos"]
+        assert result.ids == [VOCAB.sos, *text, 4]
+        assert result.speech == [4] and result.chunks == [[4]]
+
     def test_first_chunk_is_min_m_total(self):
         cfg = InterleaveConfig(n=5, m=4)
         model = ScriptedLM(VOCAB, [1, 2, VOCAB.eos])

@@ -25,6 +25,29 @@ class TestElementwise:
         assert np.array_equal(T.add(a, 1.0).data, [[2.0, 3.0]])
         assert np.array_equal(T.mul(a, 2.0).data, [[2.0, 4.0]])
 
+    @pytest.mark.parametrize("scalar_side", [None, 0, 1])
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
+    def test_binary_gradients(self, op, scalar_side):
+        rng = np.random.default_rng(3)
+        shapes = [(3, 4), (3, 4)]
+        if scalar_side is not None:
+            shapes[scalar_side] = ()
+        a, b = (rand(rng, *shape) for shape in shapes)
+        weights = Tensor(rng.normal(size=(3, 4)))
+        fn = getattr(T, op)
+        err = T.check_gradients(lambda: T.sum_all(T.mul(fn(a, b), weights)), [a, b])
+        assert err < 1e-6
+
+    def test_scale_and_abs_gradients(self):
+        rng = np.random.default_rng(4)
+        # keep abs_val's inputs off its kink at zero
+        x = Tensor(np.sign(rng.normal(size=(3, 4))) * rng.uniform(0.2, 1.0, (3, 4)),
+                   requires_grad=True)
+        weights = Tensor(rng.normal(size=(3, 4)))
+        for fn in (lambda: T.scale(x, -1.7), lambda: T.abs_val(x)):
+            err = T.check_gradients(lambda: T.sum_all(T.mul(fn(), weights)), [x])
+            assert err < 1e-6
+
     def test_no_broadcasting_beyond_scalar(self):
         a = Tensor(np.ones((2, 3)))
         b = Tensor(np.ones(3))
