@@ -24,7 +24,6 @@ from . import latency as lat_mod
 from . import persist
 from . import rl as rl_mod
 from . import seqlm
-from . import tensor as T
 from .config import ConfigError, RunConfig, load_config, split_seed
 from .metrics import MetricsReport
 from .nn import Adam
@@ -88,6 +87,10 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
+def _corpus(data: Path) -> list[tuple[list[int], list[int]]]:
+    return dataio.read_corpus(_require_file(data / "corpus.txt", "corpus"))
+
+
 def cmd_gen_data(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args.out)
@@ -134,9 +137,9 @@ def _token_accuracy(model, seqs) -> float:
     return hit / max(total, 1)
 
 
-def _train_lm(cfg: RunConfig, data: Path, out: Path) -> dict[str, float]:
+def _train_lm(cfg: RunConfig, data: Path, out: str) -> dict[str, float]:
     vocab = _vocab(cfg)
-    pairs = dataio.read_corpus(_require_file(data / "corpus.txt", "corpus"))
+    pairs = _corpus(data)
     seqs = _train_sequences(cfg, vocab, pairs)
     model = seqlm.ToyLM(vocab, dim=cfg.seqlm.dim, n_blocks=cfg.seqlm.n_blocks,
                         max_len=cfg.seqlm.max_len,
@@ -148,12 +151,12 @@ def _train_lm(cfg: RunConfig, data: Path, out: Path) -> dict[str, float]:
                               target_loss=cfg.seqlm.target_loss)
     else:
         loss = seqlm.evaluate_loss(model, seqs)
-    persist.save_lm(out / "lm.ssyn", model)
+    persist.save_lm(_out_dir(out) / "lm.ssyn", model)
     return {"loss": loss, "token_accuracy": _token_accuracy(model, seqs)}
 
 
-def _train_cfm(cfg: RunConfig, data: Path, out: Path) -> dict[str, float]:
-    pairs = dataio.read_corpus(_require_file(data / "corpus.txt", "corpus"))
+def _train_cfm(cfg: RunConfig, data: Path, out: str) -> dict[str, float]:
+    pairs = _corpus(data)
     speaker = dataio.read_speaker_file(_require_file(data / "speaker.txt", "speaker vector"),
                                        cfg.cfm.speaker_dim)
     features = [_target_features(data, i) for i in range(len(pairs))]
@@ -166,16 +169,12 @@ def _train_cfm(cfg: RunConfig, data: Path, out: Path) -> dict[str, float]:
     params = model.parameters()
     opt = Adam(params, lr=cfg.cfm.lr)
     history = []
-    for step in range(cfg.cfm.train_steps):
+    for _ in range(cfg.cfm.train_steps):
         i = int(rng.integers(len(pairs)))
-        opt.zero_grad()
-        with T.Tape() as tape:
-            loss = cfm_mod.training_step(model, features[i], speaker, pairs[i][1], rng,
-                                         chunk=cfg.cfm.chunk_frames)
-        tape.backward(loss)
-        opt.step()
+        loss = opt.minimize(lambda: cfm_mod.training_step(
+            model, features[i], speaker, pairs[i][1], rng, chunk=cfg.cfm.chunk_frames))
         history.append(loss.item())
-    persist.save_cfm(out / "cfm.ssyn", model)
+    persist.save_cfm(_out_dir(out) / "cfm.ssyn", model)
     span = min(100, max(len(history) // 2, 1))
     return {
         "loss_first": float(np.mean(history[:span])) if history else 0.0,
@@ -183,24 +182,22 @@ def _train_cfm(cfg: RunConfig, data: Path, out: Path) -> dict[str, float]:
     }
 
 
-def _train_fsq(cfg: RunConfig, data: Path, out: Path) -> dict[str, float]:
+def _train_fsq(cfg: RunConfig, data: Path, out: str) -> dict[str, float]:
     vocab = _vocab(cfg)
-    pairs = dataio.read_corpus(_require_file(data / "corpus.txt", "corpus"))
+    pairs = _corpus(data)
     codec, accuracy, util = fsq_mod.train_toy_tokenizer(
         fsq_mod.FsqConfig(cfg.fsq.d, cfg.fsq.k), cfg.fsq.hidden,
         [[t - vocab.speech_size for t in text] for text, _ in pairs],
         cfg.seqlm.text_alphabet, max(cfg.seqlm.train_steps, 1), cfg.run.seed)
-    persist.save_codec(out / "fsq.ssyn", codec)
+    persist.save_codec(_out_dir(out) / "fsq.ssyn", codec)
     return {"accuracy": accuracy, "utilization": util}
 
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    out = _out_dir(args.out)
-    data = Path(args.data)
     trainers = {"lm": _train_lm, "cfm": _train_cfm, "fsq": _train_fsq}
-    metrics = trainers[args.target](cfg, data, out)
-    _report(cfg, metrics).write(out / f"report_train_{args.target}.txt")
+    metrics = trainers[args.target](cfg, Path(args.data), args.out)
+    _report(cfg, metrics).write(_out_dir(args.out) / f"report_train_{args.target}.txt")
     summary = ", ".join(f"{k}={v:.6g}" for k, v in metrics.items())
     print(f"trained {args.target}: {summary}")
     return 0
@@ -257,11 +254,9 @@ def cmd_synthesize(args) -> int:
 
 def cmd_finetune(args) -> int:
     cfg = _load_cfg(args)
-    out = _out_dir(args.out)
-    data = Path(args.data)
     lm = persist.load_lm(_require_file(args.lm, "LM checkpoint"))
     vocab = lm.vocab
-    pairs = dataio.read_corpus(_require_file(data / "corpus.txt", "corpus"))
+    pairs = _corpus(Path(args.data))
     crng = np.random.default_rng(split_seed(cfg.run.seed, "corpus"))
     motifs = dataio.motif_map(vocab, crng)
 
@@ -281,7 +276,7 @@ def cmd_finetune(args) -> int:
         if not prefs:
             print("no usable preference pairs (all candidates identical)")
             return 1
-        dataio.write_preference_file(out / "preferences.txt", prefs)
+        dataio.write_preference_file(_out_dir(args.out) / "preferences.txt", prefs)
         metrics["margin_before"] = rl_mod.preference_margin(lm, prefs)
         rl_mod.finetune_dpo(lm, ref, prefs, cfg.rl.steps, rng, beta_dpo=cfg.rl.beta_dpo,
                             lr=cfg.rl.lr)
@@ -302,6 +297,7 @@ def cmd_finetune(args) -> int:
                             lr=cfg.rl.lr)
         metrics["asr_loss_after"] = generated_asr_loss()
 
+    out = _out_dir(args.out)
     persist.save_lm(out / "lm_finetuned.ssyn", lm)
     _report(cfg, metrics).write(out / "report_finetune.txt")
     print("finetune done: " + ", ".join(f"{k}={v:.4f}" for k, v in metrics.items()))
@@ -344,7 +340,7 @@ def cmd_eval(args) -> int:
     data = Path(args.data)
     lm = persist.load_lm(_require_file(args.lm, "LM checkpoint"))
     vocab = lm.vocab
-    pairs = dataio.read_corpus(_require_file(data / "corpus.txt", "corpus"))
+    pairs = _corpus(data)
     seqs = _train_sequences(cfg, vocab, pairs)
     metrics = {
         "loss": seqlm.evaluate_loss(lm, seqs),

@@ -113,6 +113,11 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
         problems.append("seqlm.n and seqlm.m must be >= 1")
     if cfg.seqlm.text_alphabet < 1:
         problems.append("seqlm.text_alphabet must be >= 1")
+    if cfg.seqlm.pairs < 1:
+        problems.append("seqlm.pairs must be >= 1")
+    if not 1 <= cfg.seqlm.min_text_len <= cfg.seqlm.max_text_len:
+        problems.append("seqlm.min_text_len and seqlm.max_text_len must satisfy "
+                        "1 <= min_text_len <= max_text_len")
     if cfg.cfm.nfe < 1:
         problems.append("cfm.nfe must be >= 1")
     if cfg.cfm.beta < 0:

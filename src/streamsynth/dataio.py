@@ -27,7 +27,6 @@ __all__ = [
     "write_speaker_file",
     "read_speaker_file",
     "features_for_tokens",
-    "two_moons",
     "write_preference_file",
     "read_preference_file",
 ]
@@ -123,6 +122,8 @@ def read_corpus(path) -> list[tuple[list[int], list[int]]]:
             raise CorpusFileError(f"{path}:{lineno}: malformed corpus line")
         pairs.append((_ints(left[len("TEXT"):], path, lineno, CorpusFileError),
                       _ints(right, path, lineno, CorpusFileError)))
+    if not pairs:
+        raise CorpusFileError(f"{path}: no pairs")
     return pairs
 
 
@@ -166,14 +167,6 @@ def features_for_tokens(tokens: list[int], speaker_v: np.ndarray, n_features: in
     if rng is not None:
         frames += 0.05 * rng.standard_normal(frames.shape)
     return FeatureSeq(frames)
-
-
-def two_moons(rng: np.random.Generator, n: int):
-    """Balanced two-moons cloud with noise std 0.08; returns (points [n, 2],
-    moon labels [n])."""
-    labels = rng.integers(0, 2, size=n)
-    theta = rng.uniform(0.0, np.pi, size=n)
-    return _moon_arcs(labels, theta) + 0.08 * rng.standard_normal((n, 2)), labels
 
 
 def _moon_arcs(labels, theta):

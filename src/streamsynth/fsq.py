@@ -180,16 +180,18 @@ def train_toy_tokenizer(config: FsqConfig, hidden: int, labels: Sequence[Sequenc
     opt = Adam(params, lr=5e-3)
     hits = total = 0
     tokens_seen: list[int] = []
+    digits = logits = None
     for step in range(steps):
         seq = list(labels[int(rng.integers(len(labels)))])
         x = Tensor(base[seq] + 0.1 * rng.standard_normal((len(seq), hidden)))
-        opt.zero_grad()
-        with T.Tape() as tape:
+
+        def loss() -> Tensor:
+            nonlocal digits, logits
             digits, up = codec.quantize(T.relu(enc2(T.relu(enc1(x)))))
             logits = head(T.relu(up))
-            loss = T.cross_entropy_ignore(logits, seq, [False] * len(seq))
-        tape.backward(loss)
-        opt.step()
+            return T.cross_entropy_ignore(logits, seq, [False] * len(seq))
+
+        opt.minimize(loss)
         if step >= steps - 50:
             hits += int((np.argmax(logits.data, axis=1) == np.array(seq)).sum())
             total += len(seq)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -118,6 +118,16 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
+
+    def minimize(self, loss_fn: Callable[[], Tensor]) -> Tensor:
+        """One optimizer step: record ``loss_fn()`` on a fresh tape,
+        backpropagate it, update the parameters and return the loss."""
+        self.zero_grad()
+        with T.Tape() as tape:
+            loss = loss_fn()
+        tape.backward(loss)
+        self.step()
+        return loss
 
 
 class Ema:

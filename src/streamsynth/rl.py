@@ -10,6 +10,7 @@ log posterior can reach the LM parameters.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -145,15 +146,10 @@ def train_asr_backend(asr: ToyAsrBackend, pairs, steps: int,
         text, speech = pairs[int(rng.integers(len(pairs)))]
         digits = recover_digits(speech, d, k).astype(np.float64)
         digits += 0.15 * rng.standard_normal(digits.shape)
-        opt.zero_grad()
-        with T.Tape() as tape:
-            hhat = asr.codec.proj_up(Tensor(digits))
-            logits = asr.text_logits_from_hhat(hhat)
-            targets = [t - asr.vocab.speech_size for t in text]
-            loss = T.cross_entropy_ignore(logits, targets, [False] * len(targets))
-        tape.backward(loss)
-        opt.step()
-        last = loss.item()
+        targets = [t - asr.vocab.speech_size for t in text]
+        last = opt.minimize(lambda: T.cross_entropy_ignore(
+            asr.text_logits_from_hhat(asr.codec.proj_up(Tensor(digits))),
+            targets, [False] * len(targets))).item()
     asr.freeze()
     return last
 
@@ -185,13 +181,6 @@ def soft_decode(asr: ToyAsrBackend, soft_tokens: Tensor) -> Tensor:
     """Expected digit vectors under a soft token distribution, up-projected."""
     digits = T.matmul(soft_tokens, asr.table)
     return asr.codec.proj_up(digits)
-
-
-def straight_through(soft: Tensor) -> Tensor:
-    """One-hot rows on the forward pass, soft-sample gradients on the way back."""
-    hard = np.zeros_like(soft.data)
-    hard[np.arange(hard.shape[0]), soft.data.argmax(axis=1)] = 1.0
-    return T.add(soft, Tensor(hard - soft.data))
 
 
 def sample_speech_guided(lm: ToyLM, text: Sequence[int], n_tokens: int,
@@ -309,29 +298,21 @@ def finetune_dpo(policy: ToyLM, reference: ToyLM, pairs: Sequence[PreferencePair
                  lr: float = 1e-4) -> float:
     """DPO steps over batches of up to four preference pairs."""
     vocab = policy.vocab
-    params = policy.parameters()
-    opt = Adam(params, lr=lr)
+    opt = Adam(policy.parameters(), lr=lr)
+    size = min(4, len(pairs))
+
+    def term(pair: PreferencePair) -> Tensor:
+        ref_w = sequence_logprob(reference, vocab, pair.context, pair.preferred)
+        ref_l = sequence_logprob(reference, vocab, pair.context, pair.rejected)
+        pol_w = sequence_logprob(policy, vocab, pair.context, pair.preferred)
+        pol_l = sequence_logprob(policy, vocab, pair.context, pair.rejected)
+        return T.scale(dpo_loss(pol_w, pol_l, ref_w.item(), ref_l.item(), beta_dpo),
+                       1.0 / size)
+
     last = float("inf")
     for _ in range(steps):
-        batch = [pairs[i] for i in rng.choice(len(pairs),
-                                              size=min(4, len(pairs)),
-                                              replace=False)]
-        opt.zero_grad()
-        with T.Tape() as tape:
-            loss = None
-            for pair in batch:
-                ref_w = sequence_logprob(reference, vocab, pair.context, pair.preferred)
-                ref_l = sequence_logprob(reference, vocab, pair.context, pair.rejected)
-                pol_w = sequence_logprob(policy, vocab, pair.context, pair.preferred)
-                pol_l = sequence_logprob(policy, vocab, pair.context, pair.rejected)
-                term = T.scale(
-                    dpo_loss(pol_w, pol_l, ref_w.item(), ref_l.item(), beta_dpo),
-                    1.0 / len(batch),
-                )
-                loss = term if loss is None else T.add(loss, term)
-        tape.backward(loss)
-        opt.step()
-        last = loss.item()
+        batch = [pairs[i] for i in rng.choice(len(pairs), size=size, replace=False)]
+        last = opt.minimize(lambda: functools.reduce(T.add, map(term, batch))).item()
     return last
 
 
@@ -365,19 +346,19 @@ def finetune_asr(lm: ToyLM, asr: ToyAsrBackend, texts, steps: int,
     """ASR-reward tuning with sampled contexts and gradients clipped to norm 1."""
     params = lm.parameters()
     opt = Adam(params, lr=lr)
+
+    def term(i: int) -> Tensor:
+        text = texts[int(rng.integers(len(texts)))]
+        # half the batch scores the greedy path, half explores around it
+        speech = sample_speech_guided(lm, text, GROUP * len(text), rng,
+                                      top_k=1 if i % 2 == 0 else 5)
+        return T.scale(asr_reward_step(lm, asr, text, tau, rng, speech), 1.0 / batch_size)
+
     last = float("inf")
     for _ in range(steps):
         opt.zero_grad()
         with T.Tape() as tape:
-            loss = None
-            for i in range(batch_size):
-                text = texts[int(rng.integers(len(texts)))]
-                # half the batch scores the greedy path, half explores around it
-                speech = sample_speech_guided(lm, text, GROUP * len(text), rng,
-                                              top_k=1 if i % 2 == 0 else 5)
-                term = T.scale(asr_reward_step(lm, asr, text, tau, rng, speech),
-                               1.0 / batch_size)
-                loss = term if loss is None else T.add(loss, term)
+            loss = functools.reduce(T.add, map(term, range(batch_size)))
         tape.backward(loss)
         _clip_grads(params, 1.0)
         opt.step()

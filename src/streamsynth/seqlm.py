@@ -12,6 +12,7 @@ the symbol back.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -481,17 +482,13 @@ def sequence_loss(model: ToyLM, sequences: Sequence[TokenSequence]) -> Tensor:
     total = sum(sum(s.loss_mask) for s in sequences)
     if total == 0:
         raise T.EmptyLossError("batch has no scored positions")
-    loss = None
-    for seq in sequences:
-        n = sum(seq.loss_mask)
-        if n == 0:
-            continue
+
+    def part(seq: TokenSequence) -> Tensor:
         ign = [not m for m in seq.loss_mask]
-        part = T.scale(
-            T.cross_entropy_ignore(model.forward(seq.ids), seq.targets, ign), n / total
-        )
-        loss = part if loss is None else T.add(loss, part)
-    return loss
+        nll = T.cross_entropy_ignore(model.forward(seq.ids), seq.targets, ign)
+        return T.scale(nll, sum(seq.loss_mask) / total)
+
+    return functools.reduce(T.add, (part(s) for s in sequences if any(s.loss_mask)))
 
 
 def train_lm(model: ToyLM, sequences: Sequence[TokenSequence], steps: int,
@@ -505,11 +502,7 @@ def train_lm(model: ToyLM, sequences: Sequence[TokenSequence], steps: int,
     for step in range(steps):
         batch = [seqs[i] for i in rng.choice(len(seqs), size=min(batch_size, len(seqs)),
                                              replace=False)]
-        opt.zero_grad()
-        with T.Tape() as tape:
-            loss = sequence_loss(model, batch)
-        tape.backward(loss)
-        opt.step()
+        opt.minimize(lambda: sequence_loss(model, batch))
         if target_loss is not None and step % 25 == 24:
             loss_val = evaluate_loss(model, seqs)
             if loss_val <= target_loss:

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import shlex
 import shutil
 from pathlib import Path
@@ -112,6 +113,32 @@ class TestValidation:
                    "--out", tmp_path / "o", *TINY)
         assert code == 1
         assert "nope.ssyn" in capsys.readouterr().err
+
+    def test_unusable_corpus_settings_exit_2(self, tmp_path, capsys):
+        code = run("gen-data", "--out", tmp_path / "x", "--set", "seqlm.pairs=0")
+        assert code == 2
+        assert "seqlm.pairs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", [
+        ("train", "--target", "lm"), ("train", "--target", "fsq"),
+        ("train", "--target", "cfm"), ("finetune", "--objective", "asr"),
+        ("finetune", "--objective", "dpo"), ("eval",)],
+        ids=["train-lm", "train-fsq", "train-cfm", "finetune-asr", "finetune-dpo", "eval"])
+    def test_empty_corpus_named_and_writes_no_out_dir(self, workspace, tmp_path, capsys,
+                                                      command):
+        _, _, runs, _ = workspace
+        empty = tmp_path / "data"
+        empty.mkdir()
+        (empty / "corpus.txt").write_text("")
+        lm = [] if command[0] == "train" else ["--lm", runs / "lm.ssyn"]
+        code = run(*command, *lm, "--data", empty, "--out", tmp_path / "o", *TINY)
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert f"{empty / 'corpus.txt'}: no pairs" in err
+        assert "Traceback" not in err and "Warning" not in out + err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_corpus_named(self, workspace, tmp_path, capsys):
         _, _, runs, _ = workspace
@@ -252,11 +279,12 @@ class TestSynthesize:
         assert "--chunk" not in out
         assert not (tmp_path / "s").exists()
 
-    @pytest.mark.parametrize("command", ["synthesize", "eval"])
+    @pytest.mark.parametrize("command", ["synthesize", "eval", "finetune"])
     def test_missing_lm_writes_no_out_dir(self, workspace, tmp_path, capsys, command):
         _, data, runs, text = workspace
         extra = {"synthesize": ["--cfm", runs / "cfm.ssyn", "--text", text],
-                 "eval": ["--data", data, "--cfm", runs / "cfm.ssyn"]}[command]
+                 "eval": ["--data", data, "--cfm", runs / "cfm.ssyn"],
+                 "finetune": ["--data", data, "--objective", "dpo"]}[command]
         code = run(command, "--lm", tmp_path / "nope.ssyn", *extra,
                    "--out", tmp_path / "o", *TINY)
         assert code == 1
@@ -316,6 +344,68 @@ class TestFinetuneCommand:
         assert "metric.margin_before=" in report
         assert (out / "preferences.txt").exists()
         assert (out / "lm_finetuned.ssyn").exists()
+
+
+# sha256 of every file that gen-data, train (lm, cfm, fsq), finetune, synthesize
+# and eval write for TINY in the pipeline below. The float sums, and so the
+# bytes, depend on the OpenBLAS bundled with numpy 2.4.6, the version CI pins
+# in PINNED_DEPS, as the bench digests do.
+PIPELINE_DIGESTS = {
+    "data/corpus.txt": "238d585ae91a557bf7b4e14131243601c6980528ccbff6870e0fbd6b07f76781",
+    "data/features/pair_000.sfea": "05f3dabe93502055c9480b0895e6a4fa933073c8310f92cac979c1aca272d598",
+    "data/features/pair_001.sfea": "f88cc55020e753f8842d2a220e28fec0712d6073965375414dafc0684139ee14",
+    "data/features/pair_002.sfea": "e3836d16e2ef4a9a2d97723944385e6f8691746948b862740bfb7da83cab3567",
+    "data/features/pair_003.sfea": "c054fd116e9d3aa89558a8239308c1f26fdf795092594a83ba79102ac50050df",
+    "data/features/pair_004.sfea": "022573f774c7c5c25b48c839008064a6324fcb0eadab4622ad7f6b9d4ae4d5c8",
+    "data/features/pair_005.sfea": "53c76ee4806b1f972c2b66bcbc00e6e8f54b5f146829427a2e51f7eebb277247",
+    "data/features/pair_006.sfea": "f26412d7bc76d24cc801f14c7c6fa39fef0b51db001bb4d2e57a8b1291f93f43",
+    "data/features/pair_007.sfea": "2c98951d3524a15211538d76cc8e55620f3648e7543754c3c60664fa5c51b51c",
+    "data/features/pair_008.sfea": "17a850e1c34f7e6f6c4a1c3df07facd7007f66bd8133328ce2e84fece8331e90",
+    "data/features/pair_009.sfea": "024cf4f2c4fb368b408011c2148faddb853f24a78d79dba1381b8bf221730081",
+    "data/features/pair_010.sfea": "b0af33b24e17df06f047e61bdd6ab782d988ba6e81f23aeff3affdee44476dcc",
+    "data/features/pair_011.sfea": "c91f7e9db2ec140062014b41e87a728319580e55c84c5b12862123ebe0a37626",
+    "data/report_gen_data.txt": "2c32594cf4b865afad3e267828fb79105fb710b3d1d69cf86b6f2ec08b5735f5",
+    "data/speaker.txt": "140bf327f98d30960c70ed27c7ce428c3461a8db1e7b0c4abb163442485b57d4",
+    "eval/report_eval.txt": "566a8afe8eaeec43e82c23e1a5f12248af31ff479522ef8d2c94ab6a61b3280a",
+    "finetune/lm_finetuned.ssyn": "1f7dfba9d5856431da979991712847387849574be4b22f62e52d7d6e63a4d29e",
+    "finetune/preferences.txt": "4ac4ad74afd5a83208545afb45834bf60eda64815e606bc788b6704f79c0b040",
+    "finetune/report_finetune.txt": "a53d6905b2c28c929ba1d4710ab9e0dc754922d104d62c2a04f808fcd99f556c",
+    "fsq/fsq.ssyn": "97ca97a2c163888c49d5684450b06bccce828e4fe5de7ec6a938f17aa42c29a4",
+    "fsq/report_train_fsq.txt": "eb5743aa14eec6d07ebcb63464f78aadc106346b81ccb1425bf09dbdf6734958",
+    "offline/features.sfea": "0f86d7b4b9a05c973f98d8de9b956523747fb3ef686ff9a7b4a8f5c59e0d92f9",
+    "offline/tokens.txt": "f87289cd07e3cb83a7f75c1a2f2467f14c8a49330966fa39eebd995567f577f2",
+    "stream/features.sfea": "0f86d7b4b9a05c973f98d8de9b956523747fb3ef686ff9a7b4a8f5c59e0d92f9",
+    "stream/tokens.txt": "f87289cd07e3cb83a7f75c1a2f2467f14c8a49330966fa39eebd995567f577f2",
+    "runs/cfm.ssyn": "0d0c2e221587512747ce075b8525f34876bbeb4253bab156b3c3989f3b84139b",
+    "runs/lm.ssyn": "f76596919e5d49ad6b64da09d0ec18d3f91fbe94299e66d4400f89dd88b9c498",
+    "runs/report_train_cfm.txt": "31603b9fd396b91adca4406c3b10b2060f368cd20e8f8648d22411a711eb49d1",
+    "runs/report_train_lm.txt": "bf1db10e6e65136f87717acd91c900f931561befaabe44ca28f62487b856fe86",
+}
+
+
+def _digests(base: Path) -> dict[str, str]:
+    return {f.relative_to(base).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(base.rglob("*")) if f.is_file()}
+
+
+class TestPinnedBytes:
+    def test_pipeline_outputs_match_pinned_digests(self, workspace, tmp_path):
+        root, data, runs, text = workspace
+        lm, cfm = runs / "lm.ssyn", runs / "cfm.ssyn"
+        assert run("train", "--target", "fsq", "--data", data, "--out", tmp_path / "fsq",
+                   *TINY) == 0
+        assert run("finetune", "--lm", lm, "--data", data, "--objective", "both",
+                   "--set", "rl.steps=3", "--out", tmp_path / "finetune", *TINY) == 0
+        for mode in ("stream", "offline"):
+            assert run("synthesize", "--lm", lm, "--cfm", cfm, "--text", text,
+                       "--set", "cfm.nfe=2", "--mode", mode, "--out", tmp_path / mode,
+                       *TINY) == 0
+        assert run("eval", "--lm", lm, "--data", data, "--cfm", cfm, "--set", "cfm.nfe=2",
+                   "--out", tmp_path / "eval", *TINY) == 0
+        found = _digests(root) | _digests(tmp_path)
+        assert sorted(found) == sorted(PIPELINE_DIGESTS)
+        differ = [name for name, digest in PIPELINE_DIGESTS.items() if found[name] != digest]
+        assert not differ, f"differ from their pinned bytes: {differ}"
 
 
 def _readme_commands() -> list[str]:

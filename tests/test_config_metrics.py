@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from streamsynth.config import ConfigError, RunConfig, load_config, split_seed
-from streamsynth.dataio import (MOTIF_LEN, gen_pairs, motif_map, read_corpus,
-                                read_preference_file, two_moons, write_corpus,
+from streamsynth.dataio import (MOTIF_LEN, CorpusFileError, gen_pairs, motif_map,
+                                read_corpus, read_preference_file, write_corpus,
                                 write_preference_file)
 from streamsynth.metrics import MetricsReport
 from streamsynth.rl import PreferencePair
@@ -69,6 +69,25 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert err.value.problems == ["line 3: rl.lr must be finite, got 'nan'"]
+
+    @pytest.mark.parametrize("overrides, problem", [
+        ({"seqlm.pairs": "0"}, "seqlm.pairs must be >= 1"),
+        ({"seqlm.pairs": "-3"}, "seqlm.pairs must be >= 1"),
+        ({"seqlm.min_text_len": "9"}, "1 <= min_text_len <= max_text_len"),
+        ({"seqlm.min_text_len": "0"}, "1 <= min_text_len <= max_text_len"),
+        ({"seqlm.min_text_len": "0", "seqlm.max_text_len": "0"},
+         "1 <= min_text_len <= max_text_len"),
+        ({"seqlm.max_text_len": "2"}, "1 <= min_text_len <= max_text_len"),
+    ], ids=["pairs-0", "pairs-negative", "min-above-max", "min-0", "both-0", "max-below-min"])
+    def test_corpus_settings_validated(self, overrides, problem):
+        with pytest.raises(ConfigError) as err:
+            load_config(None, overrides)
+        assert len(err.value.problems) == 1 and problem in err.value.problems[0]
+
+    def test_corpus_settings_bounds_accepted(self):
+        cfg = load_config(None, {"seqlm.pairs": "1", "seqlm.min_text_len": "1",
+                                 "seqlm.max_text_len": "1"})
+        assert (cfg.seqlm.pairs, cfg.seqlm.min_text_len, cfg.seqlm.max_text_len) == (1, 1, 1)
 
     def test_mask_name_validated(self):
         with pytest.raises(ConfigError):
@@ -134,6 +153,12 @@ class TestDataIO:
         write_corpus(path, pairs)
         assert read_corpus(path) == pairs
 
+    def test_corpus_without_pairs_named(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text("\n\n")
+        with pytest.raises(CorpusFileError, match="corpus.txt: no pairs"):
+            read_corpus(path)
+
     def test_corpus_malformed_line(self, tmp_path):
         path = tmp_path / "corpus.txt"
         path.write_text("SPEECH 1 2 3\n")
@@ -148,10 +173,3 @@ class TestDataIO:
         assert back[0].context == [5, 6]
         assert back[0].preferred == [1, 2, 3]
         assert back[0].rejected == [4, 5, 6]
-
-    def test_two_moons_shape(self):
-        pts, labels = two_moons(np.random.default_rng(3), 500)
-        assert pts.shape == (500, 2)
-        assert set(np.unique(labels)) <= {0, 1}
-        # the two moons occupy distinct vertical bands on average
-        assert pts[labels == 0, 1].mean() > pts[labels == 1, 1].mean()

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from streamsynth import rl
 from streamsynth import tensor as T
 from streamsynth.checkpoint import (CheckpointError, load_checkpoint, save_checkpoint)
 from streamsynth.nn import Adam, Linear, TransformerBlock, param_fingerprint
@@ -32,6 +33,44 @@ class TestAdam:
         opt.step()
         assert np.array_equal(y.data, np.ones(2))
         assert not np.array_equal(x.data, np.ones(2))
+
+    def test_minimize_equals_hand_written_steps(self):
+        x = Tensor(np.random.default_rng(8).normal(size=(5, 3)))
+
+        def model():
+            rng = np.random.default_rng(7)
+            layers = [Linear(rng, 3, 6, std=0.5), Linear(rng, 6, 2, std=0.5)]
+            params = [p for layer in layers for p in layer.parameters()]
+            return (lambda: T.mean_all(T.abs_val(layers[1](T.relu(layers[0](x)))))), params
+
+        loss_a, params_a = model()
+        loss_b, params_b = model()
+        opt_a, opt_b = Adam(params_a, lr=0.05), Adam(params_b, lr=0.05)
+        for _ in range(6):
+            got = opt_a.minimize(loss_a)
+            opt_b.zero_grad()
+            with Tape() as tape:
+                want = loss_b()
+            tape.backward(want)
+            opt_b.step()
+            assert got.data.tobytes() == want.data.tobytes()
+            for p, q in zip(params_a, params_b):
+                assert p.data.tobytes() == q.data.tobytes()
+                assert p.grad.tobytes() == q.grad.tobytes()
+
+    def test_clip_grads_to_max_norm(self):
+        a = Tensor(np.zeros(2), requires_grad=True)
+        b = Tensor(np.zeros((2, 2)), requires_grad=True)
+        idle = Tensor(np.zeros(3), requires_grad=True)
+        a.grad, b.grad = np.array([3.0, 0.0]), np.array([[0.0, 4.0], [0.0, 0.0]])
+        rl._clip_grads([a, b, idle], 2.0)
+        assert np.sqrt((a.grad ** 2).sum() + (b.grad ** 2).sum()) == pytest.approx(2.0)
+        assert np.allclose(a.grad, [1.2, 0.0]) and np.allclose(b.grad, [[0.0, 1.6], [0.0, 0.0]])
+        assert idle.grad is None
+        small = [np.array([0.3, -0.4]), np.array([[0.0, 1e-3], [0.5, 0.0]])]
+        a.grad, b.grad = small[0].copy(), small[1].copy()
+        rl._clip_grads([a, b, idle], 2.0)
+        assert np.array_equal(a.grad, small[0]) and np.array_equal(b.grad, small[1])
 
 
 class TestBlocks:

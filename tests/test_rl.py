@@ -147,18 +147,6 @@ class TestGumbelSoftmax:
             [logits])
         assert err < 1e-4
 
-    def test_straight_through_forward_is_onehot(self):
-        rng = np.random.default_rng(4)
-        logits = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        with Tape() as tape:
-            soft = rl.gumbel_softmax_sample(logits, 1.0, rng)
-            hard = rl.straight_through(soft)
-            loss = T.mean_all(T.mul(hard, hard))
-        assert np.array_equal(np.sort(hard.data, axis=1)[:, :-1], np.zeros((3, 4)))
-        assert np.array_equal(hard.data.max(axis=1), np.ones(3))
-        tape.backward(loss)
-        assert logits.grad is not None and not np.allclose(logits.grad, 0.0)
-
 
 class TestSoftDecode:
     def test_tau_to_zero_matches_hard_decode(self, world):
