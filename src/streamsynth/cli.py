@@ -56,6 +56,49 @@ def _vocab(cfg: RunConfig) -> seqlm.Vocabulary:
     return seqlm.Vocabulary(codebook, cfg.seqlm.text_alphabet)
 
 
+def _lm_shape(cfg: RunConfig) -> dict:
+    """The ToyLM shape arguments that [fsq] and [seqlm] set."""
+    return {"vocab": _vocab(cfg), "dim": cfg.seqlm.dim, "n_blocks": cfg.seqlm.n_blocks,
+            "max_len": cfg.seqlm.max_len}
+
+
+def _cfm_config(cfg: RunConfig) -> cfm_mod.CfmConfig:
+    return cfm_mod.CfmConfig(token_vocab=_vocab(cfg).speech_size, **{
+        f.name: getattr(cfg.cfm, f.name) for f in dataclasses.fields(cfm_mod.CfmConfig)
+        if hasattr(cfg.cfm, f.name)})
+
+
+# The config key that sets each shape value a checkpoint records. A checkpoint
+# does not fix the sampler settings cfm.nfe and cfm.beta, nor cfm.p_uncond,
+# which only training reads.
+_LM_KEYS = {"speech_size": "fsq.d/fsq.k codebook", "text_size": "seqlm.text_alphabet",
+            "dim": "seqlm.dim", "n_blocks": "seqlm.n_blocks", "max_len": "seqlm.max_len"}
+_CFM_KEYS = {"token_vocab": "fsq.d/fsq.k codebook", **{
+    name: f"cfm.{name}" for name in ("n_features", "token_embed", "hidden", "speaker_dim",
+                                      "lookahead")}}
+
+
+def _load_models(cfg: RunConfig, lm_path: str, cfm_path: str | None = None):
+    """The LM and flow-matching checkpoints, once every config key they fix agrees."""
+    lm = persist.load_lm(_require_file(lm_path, "LM checkpoint"))
+    want = _lm_shape(cfg)
+    want.update(dataclasses.asdict(want.pop("vocab")))
+    have = {**dataclasses.asdict(lm.vocab), "dim": lm.dim, "n_blocks": len(lm.blocks),
+            "max_len": lm.max_len}
+    found = [(lm_path, _LM_KEYS, want, have)]
+    model = None
+    if cfm_path is not None:
+        model = persist.load_cfm(_require_file(cfm_path, "flow-matching checkpoint"))
+        found.append((cfm_path, _CFM_KEYS, dataclasses.asdict(_cfm_config(cfg)),
+                      dataclasses.asdict(model.config)))
+    problems = [f"{key} is {want[name]} in the config but {have[name]} in {path}"
+                for path, keys, want, have in found for name, key in keys.items()
+                if want[name] != have[name]]
+    if problems:
+        raise ConfigError(problems)
+    return lm, model
+
+
 def _speaker(cfg: RunConfig) -> np.ndarray:
     rng = np.random.default_rng(split_seed(cfg.run.seed, "speaker"))
     return rng.normal(0.0, 1.0, cfg.cfm.speaker_dim)
@@ -87,8 +130,19 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
-def _corpus(data: Path) -> list[tuple[list[int], list[int]]]:
-    return dataio.read_corpus(_require_file(data / "corpus.txt", "corpus"))
+def _corpus(data: Path, vocab: seqlm.Vocabulary) -> list[tuple[list[int], list[int]]]:
+    path = _require_file(data / "corpus.txt", "corpus")
+    pairs = dataio.read_corpus(path)
+    for text, speech in pairs:
+        bad = [t for t in text if not vocab.is_text(t)] + \
+            [t for t in speech if not vocab.is_speech(t)]
+        if bad:
+            raise dataio.CorpusFileError(f"{path}: id {bad[0]} outside the {vocab}")
+    return pairs
+
+
+def _data_speaker(data: Path, dim: int) -> np.ndarray:
+    return dataio.read_speaker_file(_require_file(data / "speaker.txt", "speaker vector"), dim)
 
 
 def cmd_gen_data(args) -> int:
@@ -139,10 +193,9 @@ def _token_accuracy(model, seqs) -> float:
 
 def _train_lm(cfg: RunConfig, data: Path, out: str) -> dict[str, float]:
     vocab = _vocab(cfg)
-    pairs = _corpus(data)
+    pairs = _corpus(data, vocab)
     seqs = _train_sequences(cfg, vocab, pairs)
-    model = seqlm.ToyLM(vocab, dim=cfg.seqlm.dim, n_blocks=cfg.seqlm.n_blocks,
-                        max_len=cfg.seqlm.max_len,
+    model = seqlm.ToyLM(**_lm_shape(cfg),
                         rng=np.random.default_rng(split_seed(cfg.run.seed, "lm-init")))
     rng = np.random.default_rng(split_seed(cfg.run.seed, "lm-train"))
     if cfg.seqlm.train_steps > 0:
@@ -156,15 +209,11 @@ def _train_lm(cfg: RunConfig, data: Path, out: str) -> dict[str, float]:
 
 
 def _train_cfm(cfg: RunConfig, data: Path, out: str) -> dict[str, float]:
-    pairs = _corpus(data)
-    speaker = dataio.read_speaker_file(_require_file(data / "speaker.txt", "speaker vector"),
-                                       cfg.cfm.speaker_dim)
+    pairs = _corpus(data, _vocab(cfg))
+    speaker = _data_speaker(data, cfg.cfm.speaker_dim)
     features = [_target_features(data, i) for i in range(len(pairs))]
-    codebook = fsq_mod.FsqConfig(cfg.fsq.d, cfg.fsq.k).codebook_size
-    mcfg = cfm_mod.CfmConfig(token_vocab=codebook, **{
-        f.name: getattr(cfg.cfm, f.name) for f in dataclasses.fields(cfm_mod.CfmConfig)
-        if hasattr(cfg.cfm, f.name)})
-    model = cfm_mod.CfmModel(mcfg, np.random.default_rng(split_seed(cfg.run.seed, "cfm-init")))
+    model = cfm_mod.CfmModel(_cfm_config(cfg),
+                             np.random.default_rng(split_seed(cfg.run.seed, "cfm-init")))
     rng = np.random.default_rng(split_seed(cfg.run.seed, "cfm-train"))
     params = model.parameters()
     opt = Adam(params, lr=cfg.cfm.lr)
@@ -184,7 +233,7 @@ def _train_cfm(cfg: RunConfig, data: Path, out: str) -> dict[str, float]:
 
 def _train_fsq(cfg: RunConfig, data: Path, out: str) -> dict[str, float]:
     vocab = _vocab(cfg)
-    pairs = _corpus(data)
+    pairs = _corpus(data, vocab)
     codec, accuracy, util = fsq_mod.train_toy_tokenizer(
         fsq_mod.FsqConfig(cfg.fsq.d, cfg.fsq.k), cfg.fsq.hidden,
         [[t - vocab.speech_size for t in text] for text, _ in pairs],
@@ -215,8 +264,7 @@ def _parse_text(vocab: seqlm.Vocabulary, raw: str) -> list[int]:
 
 def cmd_synthesize(args) -> int:
     cfg = _load_cfg(args)
-    lm = persist.load_lm(_require_file(args.lm, "LM checkpoint"))
-    model = persist.load_cfm(_require_file(args.cfm, "flow-matching checkpoint"))
+    lm, model = _load_models(cfg, args.lm, args.cfm)
     vocab = lm.vocab
     icfg = seqlm.InterleaveConfig(cfg.seqlm.n, cfg.seqlm.m)
     text = _parse_text(vocab, args.text)
@@ -254,9 +302,9 @@ def cmd_synthesize(args) -> int:
 
 def cmd_finetune(args) -> int:
     cfg = _load_cfg(args)
-    lm = persist.load_lm(_require_file(args.lm, "LM checkpoint"))
+    lm, _ = _load_models(cfg, args.lm)
     vocab = lm.vocab
-    pairs = _corpus(Path(args.data))
+    pairs = _corpus(Path(args.data), vocab)
     crng = np.random.default_rng(split_seed(cfg.run.seed, "corpus"))
     motifs = dataio.motif_map(vocab, crng)
 
@@ -338,9 +386,11 @@ def cmd_bench_latency(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     data = Path(args.data)
-    lm = persist.load_lm(_require_file(args.lm, "LM checkpoint"))
+    lm, model = _load_models(cfg, args.lm, args.cfm)
     vocab = lm.vocab
-    pairs = _corpus(data)
+    pairs = _corpus(data, vocab)
+    if model is not None:
+        speaker = _data_speaker(data, model.config.speaker_dim)
     seqs = _train_sequences(cfg, vocab, pairs)
     metrics = {
         "loss": seqlm.evaluate_loss(lm, seqs),
@@ -349,9 +399,7 @@ def cmd_eval(args) -> int:
     all_tokens = [tok for _, speech in pairs for tok in speech]
     util, _ = fsq_mod.utilization(all_tokens, fsq_mod.FsqConfig(cfg.fsq.d, cfg.fsq.k))
     metrics["utilization"] = util
-    if args.cfm:
-        model = persist.load_cfm(_require_file(args.cfm, "flow-matching checkpoint"))
-        speaker = _speaker(cfg)
+    if model is not None:
         ref = cfm_mod.FeatureSeq(np.zeros((0, model.config.n_features)))
         sampled, target = [], []
         for i, (_, speech) in enumerate(pairs[:5]):

@@ -8,9 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from streamsynth import cli
+from streamsynth.cfm import CfmConfig, CfmModel
 from streamsynth.checkpoint import load_checkpoint, save_checkpoint
 from streamsynth.cli import build_parser, main
-from streamsynth.config import RunConfig
+from streamsynth.config import CfmSection, RunConfig
+from streamsynth.persist import save_cfm, save_lm
+from streamsynth.seqlm import ToyLM, Vocabulary
 
 TINY = [
     "--seed", "5",
@@ -120,23 +124,46 @@ class TestValidation:
         assert "seqlm.pairs must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("command", [
+    corpus_commands = pytest.mark.parametrize("command", [
         ("train", "--target", "lm"), ("train", "--target", "fsq"),
         ("train", "--target", "cfm"), ("finetune", "--objective", "asr"),
         ("finetune", "--objective", "dpo"), ("eval",)],
         ids=["train-lm", "train-fsq", "train-cfm", "finetune-asr", "finetune-dpo", "eval"])
+
+    @staticmethod
+    def _run_on_corpus(runs, tmp_path, command, corpus: str) -> tuple[int, Path]:
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "corpus.txt").write_text(corpus)
+        lm = [] if command[0] == "train" else ["--lm", runs / "lm.ssyn"]
+        return run(*command, *lm, "--data", data, "--out", tmp_path / "o", *TINY), data
+
+    @corpus_commands
     def test_empty_corpus_named_and_writes_no_out_dir(self, workspace, tmp_path, capsys,
                                                       command):
         _, _, runs, _ = workspace
-        empty = tmp_path / "data"
-        empty.mkdir()
-        (empty / "corpus.txt").write_text("")
-        lm = [] if command[0] == "train" else ["--lm", runs / "lm.ssyn"]
-        code = run(*command, *lm, "--data", empty, "--out", tmp_path / "o", *TINY)
+        code, data = self._run_on_corpus(runs, tmp_path, command, "")
         out, err = capsys.readouterr()
         assert code == 1
-        assert f"{empty / 'corpus.txt'}: no pairs" in err
+        assert f"{data / 'corpus.txt'}: no pairs" in err
+        assert "Traceback" not in err and "Warning" not in out + err
+        assert not (tmp_path / "o").exists()
+
+    # TINY's vocabulary: speech ids 0-80, text ids 81-96
+    @corpus_commands
+    @pytest.mark.parametrize("corpus, bad", [
+        ("TEXT 81 82 | SPEECH 5 6\nTEXT 83 | SPEECH 7 939 6509\n", 939),
+        ("TEXT 81 6561 | SPEECH 5 6\n", 6561),
+        ("TEXT 81 5 | SPEECH 5 6\n", 5),
+        ("TEXT 81 | SPEECH 5 81\n", 81)], ids=["speech", "text", "speech-as-text",
+                                               "text-as-speech"])
+    def test_corpus_id_outside_vocabulary_named_and_writes_no_out_dir(
+            self, workspace, tmp_path, capsys, command, corpus, bad):
+        _, _, runs, _ = workspace
+        code, data = self._run_on_corpus(runs, tmp_path, command, corpus)
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert f"{data / 'corpus.txt'}: id {bad} outside the Vocabulary(" in err
         assert "Traceback" not in err and "Warning" not in out + err
         assert not (tmp_path / "o").exists()
 
@@ -305,15 +332,83 @@ class TestSynthesize:
         assert message in err and "Traceback" not in err
 
     def test_short_speaker_vector_exits_cleanly(self, workspace, tmp_path, capsys):
-        _, data, _, _ = workspace
+        _, data, runs, _ = workspace
         bad = tmp_path / "data"
         shutil.copytree(data, bad)
         (bad / "speaker.txt").write_text("0.1 0.2\n")
-        code = run("train", "--target", "cfm", "--data", bad, "--out", tmp_path / "o",
-                   *TINY)
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "speaker.txt: 2 values, expected 16" in err and "Traceback" not in err
+        for argv in (["train", "--target", "cfm"],
+                     ["eval", "--lm", runs / "lm.ssyn", "--cfm", runs / "cfm.ssyn"]):
+            code = run(*argv, "--data", bad, "--out", tmp_path / "o", *TINY)
+            err = capsys.readouterr().err
+            assert code == 1, argv
+            assert "speaker.txt: 2 values, expected 16" in err and "Traceback" not in err
+            assert not (tmp_path / "o").exists()
+
+
+# (config arguments, token vocabulary of a CFM checkpoint made apart from the
+# workspace or None, [(key, config value, checkpoint value, checkpoint)])
+SHAPE_MISMATCHES = {
+    "fsq.d": ([*TINY, "--set", "fsq.d=2"], None,
+              [("fsq.d/fsq.k codebook", 9, 81, "lm"), ("fsq.d/fsq.k codebook", 9, 81, "cfm")]),
+    "cfm.speaker_dim": ([*TINY, "--set", "cfm.speaker_dim=5"], None,
+                        [("cfm.speaker_dim", 5, 16, "cfm")]),
+    "seqlm.max_len": ([*TINY, "--set", "seqlm.max_len=8"], None,
+                      [("seqlm.max_len", 8, 512, "lm")]),
+    "cfm.lookahead": ([*TINY, "--set", "cfm.lookahead=0"], None,
+                      [("cfm.lookahead", 0, 3, "cfm")]),
+    "no-tiny": ([], None,
+                [("fsq.d/fsq.k codebook", 6561, 81, "lm"), ("seqlm.text_alphabet", 64, 16, "lm"),
+                 ("seqlm.dim", 48, 32, "lm"), ("fsq.d/fsq.k codebook", 6561, 81, "cfm"),
+                 ("cfm.n_features", 8, 4, "cfm"), ("cfm.token_embed", 16, 8, "cfm"),
+                 ("cfm.hidden", 24, 12, "cfm")]),
+    "lm-cfm-codebooks": (TINY, 9, [("fsq.d/fsq.k codebook", 81, 9, "cfm")]),
+}
+
+
+def _shape_cases():
+    for name, (config, cfm_vocab, mismatches) in SHAPE_MISMATCHES.items():
+        for command in ("synthesize", "eval", "finetune"):
+            # finetune loads no CFM
+            found = [m for m in mismatches if command != "finetune" or m[3] == "lm"]
+            if found:
+                yield pytest.param(command, config, cfm_vocab, found, id=f"{command}-{name}")
+
+
+class TestCheckpointShape:
+    @pytest.mark.parametrize("command, config, cfm_vocab, mismatches", _shape_cases())
+    def test_mismatch_listed_before_any_work(self, workspace, tmp_path, capsys, command,
+                                             config, cfm_vocab, mismatches):
+        _, data, runs, text = workspace
+        paths = {"lm": runs / "lm.ssyn", "cfm": runs / "cfm.ssyn"}
+        if cfm_vocab is not None:
+            paths["cfm"] = tmp_path / "cfm.ssyn"
+            save_cfm(paths["cfm"], CfmModel(CfmConfig(n_features=4, token_vocab=cfm_vocab,
+                                                      token_embed=8, hidden=12)))
+        argv = {"synthesize": ["--cfm", paths["cfm"], "--text", text, "--mode", "stream",
+                               "--set", "cfm.nfe=2"],
+                "eval": ["--cfm", paths["cfm"], "--data", data],
+                "finetune": ["--data", data, "--objective", "dpo"]}[command]
+        code = run(command, "--lm", paths["lm"], *argv, "--out", tmp_path / "o", *config)
+        out, err = capsys.readouterr()
+        assert code == 2
+        for key, want, have, model in mismatches:
+            assert f"{key} is {want} in the config but {have} in {paths[model]}" in err
+        assert err.count(" in the config but ") == len(mismatches)
+        assert "Traceback" not in err
+        assert "--chunk" not in out and "synthesized" not in out
+        assert not (tmp_path / "o").exists()
+
+    def test_every_shared_key_is_compared_or_excluded(self, tmp_path):
+        shared = ({f.name for f in dataclasses.fields(CfmConfig)}
+                  & {f.name for f in dataclasses.fields(CfmSection)})
+        assert shared - set(cli._CFM_KEYS) == {"nfe", "beta", "p_uncond"}
+        assert all(cli._CFM_KEYS[name] == f"cfm.{name}"
+                   for name in shared & set(cli._CFM_KEYS))
+        save_lm(tmp_path / "lm.ssyn", ToyLM(Vocabulary(3, 2), dim=8, n_blocks=1, max_len=4))
+        _, _, meta = load_checkpoint(tmp_path / "lm.ssyn")
+        recorded = {k for k in meta if k != "module" and not k.startswith("shape.")}
+        assert recorded == set(cli._LM_KEYS)
+        assert all(key.startswith(("seqlm.", "fsq.")) for key in cli._LM_KEYS.values())
 
 
 class TestBenchLatency:
