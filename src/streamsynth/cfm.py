@@ -364,6 +364,8 @@ def sample(model: CfmModel, cond: ConditionSet, length: int, nfe: int = 10,
             f"length {length} != {UPSAMPLE} x {len(cond.tokens)} tokens"
         )
     spec = spec if spec is not None else MaskSpec(MaskKind.NON_CAUSAL)
+    if length == 0:  # no tokens, no frames: as stream_generate, which yields none
+        return FeatureSeq(np.zeros((0, model.config.n_features)))
     return FeatureSeq(_integrate(model, cond, 0, length, nfe, beta, spec, seed))
 
 
@@ -382,16 +384,18 @@ def stream_generate(model: CfmModel, token_chunks: Iterable[Sequence[int]],
                     cond_v: np.ndarray, ref: FeatureSeq, nfe: int = 10,
                     beta: float = 0.7, spec: MaskSpec | None = None,
                     seed: int = 0) -> Iterator[FeatureSeq]:
-    """Yield newly determined frames per arriving token chunk.
+    """Yield each package of newly determined frames as tokens arrive.
 
+    A package ends on a multiple of ``spec.chunk`` frames or at the end of
+    input, so a one-token feed makes no per-token FULL_CAUSAL packages.
     Concatenated output equals a one-shot :func:`sample` over all tokens with
     the same mask, noise seed and conditions, exactly. Requires FULL_CAUSAL
     or CHUNK; any other mask raises :class:`StreamingMaskError`.
 
-    The call keeps one piece of state across chunks: the emitted frontier
+    The call keeps one piece of state across packages: the emitted frontier
     ``done`` and, for every frame before it, its keys and values at each
-    (Euler step, CFG pass, estimator block). Each chunk integrates only the
-    frames it completed, ``done:safe``, once, against that state, which
+    (Euler step, CFG pass, estimator block). Each package integrates only
+    the frames it completed, ``done:safe``, once, against that state, which
     only grows. The token conditions are recomputed over all received
     tokens. The state is nfe x 2 x n_estimator_blocks [K, V] pairs of
     [done, hidden] float64 arrays; at 192 frames and the default config
@@ -414,6 +418,8 @@ def stream_generate(model: CfmModel, token_chunks: Iterable[Sequence[int]],
         safe = done if chunk is not None else length
         while safe < length and _token_horizon(model, safe, spec) < len(received):
             safe += 1
+        if chunk is not None:  # end a package on a mask-chunk boundary
+            safe -= safe % spec.chunk
         if safe > done:
             cond = ConditionSet(cond_v, received, ref)
             yield FeatureSeq(_integrate(model, cond, done, safe, nfe, beta, spec, seed,

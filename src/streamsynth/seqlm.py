@@ -314,7 +314,10 @@ def generate_chunks(model, prompt: PromptState, vocab: Vocabulary, cfg: Interlea
                     rng: np.random.Generator | None = None,
                     max_len: int | None = None,
                     _sink: GenerationResult | None = None) -> Iterator[list[int]]:
-    """Drive autoregressive generation, yielding every M new speech tokens.
+    """Drive autoregressive generation, yielding each speech token as sampled.
+
+    Each token is yielded as a one-token list before the next model call;
+    the sink's ``chunks`` collects the tokens in packages of M.
 
     On a FILLING prediction the next N source text tokens are appended; when
     the source text is exhausted at a group boundary the turn-of-speech token
@@ -361,8 +364,8 @@ def generate_chunks(model, prompt: PromptState, vocab: Vocabulary, cfg: Interlea
                 fill += 1
             if len(pending) == cfg.m:
                 result.chunks.append(pending)
-                yield pending
                 pending = []
+            yield [tok]
         elif tok == vocab.filling and not past_turn:
             if not text_left:
                 result.flags.append("filling-with-no-text")
@@ -373,7 +376,6 @@ def generate_chunks(model, prompt: PromptState, vocab: Vocabulary, cfg: Interlea
             break
     if pending:
         result.chunks.append(pending)
-        yield pending
     result.ids = ids
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamsynth import cfm
+from streamsynth import cfm, seqlm
 from streamsynth import tensor as T
 from streamsynth.cfm import (CfmConfig, CfmModel, ConditionSet, FeatureSeq, MaskKind,
                              MaskSpec, build_mask, cfg_field, cosine_schedule,
@@ -375,6 +375,51 @@ class TestStreaming:
         got = np.concatenate([p.frames for p in parts], axis=0)
         assert got.shape == offline.frames.shape
         assert (got.view(np.uint64) == offline.frames.view(np.uint64)).all()
+
+    @pytest.mark.parametrize("chunk", [3, 4, 7])
+    def test_full_causal_token_feed_packages_whole_chunks(self, chunk):
+        # one token at a time: packages end on mask-chunk boundaries, not
+        # at every token, and still equal the one-shot sampler
+        rng = np.random.default_rng(14)
+        model = STREAM_MODEL
+        spec = MaskSpec(MaskKind.FULL_CAUSAL, chunk=chunk)
+        tokens = [int(t) for t in rng.integers(0, SMALL.token_vocab, 13)]
+        v = rng.normal(size=SMALL.speaker_dim)
+        ref = FeatureSeq(np.zeros((0, SMALL.n_features)))
+        parts = list(stream_generate(model, ([t] for t in tokens), v, ref, nfe=2,
+                                     beta=0.7, spec=spec, seed=3))
+        assert [len(p) for p in parts[:-1]] == [chunk] * (len(parts) - 1)
+        offline = sample(model, ConditionSet(v, tokens, ref), 26, nfe=2, beta=0.7,
+                         spec=spec, seed=3)
+        got = np.concatenate([p.frames for p in parts], axis=0)
+        assert (got.view(np.uint64) == offline.frames.view(np.uint64)).all()
+
+    def test_first_package_after_m_plus_p_tokens(self):
+        # the real LM driver feeds the CFM: under CHUNK with 2M-frame chunks
+        # the first package needs the M tokens of its chunk plus P look-ahead
+        icfg = seqlm.InterleaveConfig(n=2, m=4)
+        vocab = seqlm.Vocabulary(speech_size=SMALL.token_vocab, text_size=3)
+
+        class CountingLM:
+            calls = 0
+
+            def logits_last(self, ids, cache=None):
+                logits = np.full(vocab.size, -1e3)
+                logits[vocab.eos if self.calls == 20 else 1 + self.calls % 30] = 1e3
+                self.calls += 1
+                return logits
+
+        lm = CountingLM()
+        prompt = seqlm.build_icl_prompt(vocab, [], [vocab.text_id(0)], [], "stream", icfg)
+        spec = MaskSpec(MaskKind.CHUNK, chunk=2 * icfg.m)
+        packages = stream_generate(STREAM_MODEL,
+                                   seqlm.generate_chunks(lm, prompt, vocab, icfg),
+                                   np.zeros(SMALL.speaker_dim),
+                                   FeatureSeq(np.zeros((0, SMALL.n_features))),
+                                   nfe=2, spec=spec)
+        first = next(packages)
+        assert len(first) == spec.chunk
+        assert lm.calls == icfg.m + SMALL.lookahead
 
     def test_each_package_integrates_new_rows_only(self, monkeypatch):
         # one 3-token chunk per package: every frame is integrated exactly

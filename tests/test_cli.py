@@ -228,6 +228,20 @@ class TestSynthesize:
                    "--out", tmp_path / "s", *TINY) == 0
         assert "--chunk 0--" in capsys.readouterr().out
 
+    def test_over_long_offline_text_ends_truncated(self, workspace, tmp_path, capsys):
+        # 511 symbols leave no room for speech within seqlm.max_len 512
+        _, _, runs, _ = workspace
+        out = tmp_path / "o"
+        code = run("synthesize", "--lm", runs / "lm.ssyn", "--cfm", runs / "cfm.ssyn",
+                   "--text", " ".join(["0"] * 511), "--set", "cfm.nfe=2",
+                   "--mode", "offline", "--out", out, *TINY)
+        stdout = capsys.readouterr().out
+        assert code == 0
+        assert "warning: generation hit the length budget" in stdout
+        assert "synthesized 0 tokens -> 0 frames (offline)" in stdout
+        assert (out / "tokens.txt").read_text() == "#fsq D=4 K=1\n"
+        assert (out / "features.sfea").read_text() == "SFEA 0 4\n"
+
     def test_repeat_run_identical(self, workspace, tmp_path):
         _, _, runs, text = workspace
         a, b = tmp_path / "a", tmp_path / "b"

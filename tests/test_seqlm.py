@@ -313,8 +313,15 @@ class TestDriver:
         model = ScriptedLM(VOCAB, [1, 2, 3, 4, VOCAB.eos])
         prompt = build_icl_prompt(VOCAB, [], text_ids(0, 1), [], "stream", cfg)
         sink = GenerationResult([], [], [])
-        chunks = list(generate_chunks(model, prompt, VOCAB, cfg, _sink=sink))
-        assert chunks == [[1, 2, 3], [4]]
+        chunks, calls = [], []
+        for chunk in generate_chunks(model, prompt, VOCAB, cfg, _sink=sink):
+            chunks.append(chunk)
+            calls.append(model.cursor)
+        # one token per yield, each before the driver's next model call;
+        # the sink still collects packages of M
+        assert chunks == [[1], [2], [3], [4]]
+        assert calls == [1, 2, 3, 4]
+        assert sink.chunks == [[1, 2, 3], [4]]
         assert sink.speech == [1, 2, 3, 4]
 
 
