@@ -369,28 +369,25 @@ def sample(model: CfmModel, cond: ConditionSet, length: int, nfe: int = 10,
     return FeatureSeq(_integrate(model, cond, 0, length, nfe, beta, spec, seed))
 
 
-def _token_horizon(model: CfmModel, frame: int, spec: MaskSpec) -> int:
-    """Last token index frame ``frame`` can depend on, over the whole sampler.
-
-    Under FULL_CAUSAL and CHUNK ``row_horizon(row_horizon(i)) ==
-    row_horizon(i)``, so the window does not widen across alignment blocks,
-    estimator blocks or Euler steps; the look-ahead convolution then adds P
-    tokens.
-    """
-    return spec.row_horizon(frame) // UPSAMPLE + model.config.lookahead
-
-
 def stream_generate(model: CfmModel, token_chunks: Iterable[Sequence[int]],
                     cond_v: np.ndarray, ref: FeatureSeq, nfe: int = 10,
                     beta: float = 0.7, spec: MaskSpec | None = None,
                     seed: int = 0) -> Iterator[FeatureSeq]:
     """Yield each package of newly determined frames as tokens arrive.
 
-    A package ends on a multiple of ``spec.chunk`` frames or at the end of
-    input, so a one-token feed makes no per-token FULL_CAUSAL packages.
     Concatenated output equals a one-shot :func:`sample` over all tokens with
     the same mask, noise seed and conditions, exactly. Requires FULL_CAUSAL
     or CHUNK; any other mask raises :class:`StreamingMaskError`.
+
+    A package ends on a multiple of ``spec.chunk`` frames or at the end of
+    input, so a one-token feed makes no per-token FULL_CAUSAL packages.
+    While input arrives, the package ends at the largest such multiple ``s``
+    with ``s <= UPSAMPLE * (tokens received - P)``, P being the look-ahead.
+    Under both masks a package's last frame has ``row_horizon(s - 1) ==
+    s - 1``, and ``row_horizon(row_horizon(i)) == row_horizon(i)``, so no
+    alignment block, estimator block or Euler step widens its window past
+    frame ``s - 1``, that is token ``(s - 1) // UPSAMPLE``; the look-ahead
+    convolution then adds P tokens.
 
     The call keeps one piece of state across packages: the emitted frontier
     ``done`` and, for every frame before it, its keys and values at each
@@ -407,19 +404,17 @@ def stream_generate(model: CfmModel, token_chunks: Iterable[Sequence[int]],
             f"streaming synthesis needs the causal or chunk mask, not {spec.kind.value}")
     if nfe < 1:
         raise ValueError("nfe must be >= 1")
+    lookahead = model.config.lookahead
     received: list[int] = []
     done = 0
     empty = np.zeros((0, model.config.hidden))
     cache = [[[empty, empty] for _ in model.est_blocks] for _ in range(2 * nfe)]
     for chunk in itertools.chain(token_chunks, [None]):  # None: the input has ended
-        if chunk is not None:
+        if chunk is None:
+            safe = UPSAMPLE * len(received)
+        else:  # the last mask-chunk boundary that the received tokens settle
             received.extend(int(t) for t in chunk)
-        length = UPSAMPLE * len(received)
-        safe = done if chunk is not None else length
-        while safe < length and _token_horizon(model, safe, spec) < len(received):
-            safe += 1
-        if chunk is not None:  # end a package on a mask-chunk boundary
-            safe -= safe % spec.chunk
+            safe = max(done, UPSAMPLE * (len(received) - lookahead) // spec.chunk * spec.chunk)
         if safe > done:
             cond = ConditionSet(cond_v, received, ref)
             yield FeatureSeq(_integrate(model, cond, done, safe, nfe, beta, spec, seed,

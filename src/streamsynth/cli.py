@@ -296,6 +296,8 @@ def cmd_synthesize(args) -> int:
     cfm_mod.write_feature_file(out / "features.sfea", feats)
     if result.truncated:
         print("warning: generation hit the length budget before E")
+    if result.flags:
+        print("warning: generation flags: " + ", ".join(result.flags))
     print(f"synthesized {len(tokens)} tokens -> {len(feats)} frames ({args.mode})")
     return 0
 

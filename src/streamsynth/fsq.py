@@ -75,13 +75,7 @@ def bounded_round(h: np.ndarray, k: int) -> np.ndarray:
 
 def ste_bounded_round(x: Tensor, k: int) -> Tensor:
     """Taped bounded round whose backward pass is the identity."""
-    data = bounded_round(x.data, k).astype(np.float64)
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g)
-
-    return T._result(data, (x,), bwd)
+    return T._result(bounded_round(x.data, k).astype(np.float64), (x, lambda g: g))
 
 
 def encode_index(digits: Sequence[int], k: int) -> int:

@@ -8,6 +8,10 @@ from pathlib import Path
 ARTIFACT_VERSION = "streamsynth-0.1.0"
 
 
+class ReportFileError(ValueError):
+    """A metrics report is malformed; the message names the file and line."""
+
+
 @dataclass
 class MetricsReport:
     metrics: dict[str, float] = field(default_factory=dict)
@@ -30,23 +34,40 @@ class MetricsReport:
 
     @classmethod
     def from_text(cls, text: str) -> "MetricsReport":
+        return cls._parse(text, "<text>")
+
+    @classmethod
+    def read(cls, path) -> "MetricsReport":
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise ReportFileError(f"{path}: not UTF-8 text") from None
+        return cls._parse(text, path)
+
+    @classmethod
+    def _parse(cls, text: str, source) -> "MetricsReport":
         report = cls()
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
             key, _, value = line.partition("=")
+            where = f"{source}:{lineno}"
             if key == "provenance.version":
                 report.version = value
             elif key == "provenance.config_hash":
                 report.config_hash = value
             elif key == "provenance.seed":
-                report.seed = int(value)
+                report.seed = _number(int, value, where)
             elif key.startswith("metric."):
-                report.metrics[key[len("metric."):]] = float(value)
+                report.metrics[key[len("metric."):]] = _number(float, value, where)
             else:
-                raise ValueError(f"unknown report line {line!r}")
+                raise ReportFileError(f"{where}: unknown report line {line!r}")
         return report
 
-    @classmethod
-    def read(cls, path) -> "MetricsReport":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
+
+def _number(parse, value: str, where: str):
+    try:
+        return parse(value)
+    except ValueError:
+        kind = "an integer" if parse is int else "a number"
+        raise ReportFileError(f"{where}: {value!r} is not {kind}") from None

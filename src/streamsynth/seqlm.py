@@ -321,8 +321,9 @@ def generate_chunks(model, prompt: PromptState, vocab: Vocabulary, cfg: Interlea
 
     On a FILLING prediction the next N source text tokens are appended; when
     the source text is exhausted at a group boundary the turn-of-speech token
-    is appended by the driver itself. Generation stops at E or at the length
-    budget (which sets ``truncated`` on the result sink).
+    is appended by the driver itself. Generation stops at E (flagged
+    ``eos-with-text-left`` while source text is still unread) or at the
+    length budget (which sets ``truncated`` on the result sink).
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     result = _sink if _sink is not None else GenerationResult([], [], [])
@@ -354,6 +355,8 @@ def generate_chunks(model, prompt: PromptState, vocab: Vocabulary, cfg: Interlea
             continue
         tok = sampler(model.logits_last(ids, cache), rng)
         if tok == vocab.eos:
+            if text_left:
+                result.flags.append("eos-with-text-left")
             ids.append(tok)
             done = True
         elif vocab.is_speech(tok):

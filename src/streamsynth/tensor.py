@@ -180,19 +180,31 @@ def backward(loss: Tensor) -> None:
     loss._tape.backward(loss)
 
 
-def _result(
-    data: np.ndarray,
-    inputs: Sequence[Tensor],
-    backward_fn: Callable[[np.ndarray], None],
-) -> Tensor:
+def _result(data: np.ndarray,
+            *grads: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """Wrap ``data`` as the output of a primitive with one ``(input, fn)``
+    pair per input, where ``fn(g)`` is that input's gradient given the
+    output's gradient ``g``.
+
+    This is the one place that applies the gradient rule: under an active
+    tape, with some input requiring a gradient, the output is recorded, and
+    its backward calls, in input order, the ``fn`` of each input that then
+    requires a gradient and accumulates the result into that input. No
+    ``fn`` runs for a frozen input or off the tape.
+    """
     tape = _active_tape()
-    needs = tape is not None and any(t.requires_grad for t in inputs)
+    needs = tape is not None and any(t.requires_grad for t, _ in grads)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out.requires_grad = needs
     out._tape = None
     if needs:
+        def backward_fn(g: np.ndarray) -> None:
+            for t, fn in grads:
+                if t.requires_grad:
+                    t.accumulate_grad(fn(g))
+
         tape.record(out, backward_fn)
     return out
 
@@ -216,31 +228,10 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _binary(a: Tensor, b: Tensor, data: np.ndarray,
             grad_a: Callable[[np.ndarray], np.ndarray],
             grad_b: Callable[[np.ndarray], np.ndarray]) -> Tensor:
-    """Record an elementwise op of two operands; its backward hands
-    ``grad_a(g)`` and ``grad_b(g)``, reduced to each operand's shape, to the
-    operands that require a gradient."""
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(_reduce_to(grad_a(g), a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_reduce_to(grad_b(g), b.data.shape))
-
-    return _result(data, (a, b), bwd)
-
-
-def _unary(a: Tensor, data: np.ndarray, slope: Callable[[], np.ndarray | float]) -> Tensor:
-    """Record an elementwise op of one operand whose derivative is ``slope()``.
-
-    ``slope`` runs only on backward, so a forward pass off the tape does no
-    work for the gradient.
-    """
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g * slope())
-
-    return _result(data, (a,), bwd)
+    """An elementwise op of two operands whose gradients ``grad_a(g)`` and
+    ``grad_b(g)`` are reduced to each operand's shape."""
+    return _result(data, (a, lambda g: _reduce_to(grad_a(g), a.data.shape)),
+                   (b, lambda g: _reduce_to(grad_b(g), b.data.shape)))
 
 
 def add(a: Tensor, b) -> Tensor:
@@ -260,7 +251,7 @@ def mul(a: Tensor, b) -> Tensor:
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _unary(a, a.data * c, lambda: c)
+    return _result(a.data * c, (a, lambda g: g * c))
 
 
 def matmul(a: Tensor, b: Tensor, row_stable: bool = False) -> Tensor:
@@ -279,34 +270,27 @@ def matmul(a: Tensor, b: Tensor, row_stable: bool = False) -> Tensor:
         data = np.einsum("lk,kn->ln", a.data, b.data, optimize=False)
     else:
         data = a.data @ b.data
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g @ b.data.T)
-        if b.requires_grad:
-            b.accumulate_grad(a.data.T @ g)
-
-    return _result(data, (a, b), bwd)
+    return _result(data, (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
 
 
 def relu(a: Tensor) -> Tensor:
-    return _unary(a, np.maximum(a.data, 0.0), lambda: a.data > 0.0)
+    return _result(np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0.0)))
 
 
 def silu(a: Tensor) -> Tensor:
     sig = 1.0 / (1.0 + np.exp(-a.data))
-    return _unary(a, a.data * sig, lambda: sig + a.data * sig * (1.0 - sig))
+    return _result(a.data * sig, (a, lambda g: g * (sig + a.data * sig * (1.0 - sig))))
 
 
 def tanh(a: Tensor) -> Tensor:
     data = np.tanh(a.data)
-    return _unary(a, data, lambda: 1.0 - data * data)
+    return _result(data, (a, lambda g: g * (1.0 - data * data)))
 
 
 def softplus(a: Tensor) -> Tensor:
     # log(1 + e^x), computed without overflow
     data = np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data)))
-    return _unary(a, data, lambda: 1.0 / (1.0 + np.exp(-a.data)))
+    return _result(data, (a, lambda g: g * (1.0 / (1.0 + np.exp(-a.data)))))
 
 
 _ACTIVATIONS = {"relu": relu, "silu": silu, "tanh": tanh}
@@ -324,13 +308,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     z = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
     data = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            inner = (g * data).sum(axis=axis, keepdims=True)
-            a.accumulate_grad((g - inner) * data)
-
-    return _result(data, (a,), bwd)
+    return _result(data, (a, lambda g: (g - (g * data).sum(axis=axis, keepdims=True)) * data))
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -347,18 +325,14 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xhat = centered * inv
     data = xhat * gain.data + bias.data
 
-    def bwd(g: np.ndarray) -> None:
-        if gain.requires_grad:
-            gain.accumulate_grad((g * xhat).sum(axis=0))
-        if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=0))
-        if a.requires_grad:
-            gx = g * gain.data
-            m1 = gx.mean(axis=1, keepdims=True)
-            m2 = (gx * xhat).mean(axis=1, keepdims=True)
-            a.accumulate_grad((gx - m1 - xhat * m2) * inv)
+    def grad_a(g: np.ndarray) -> np.ndarray:
+        gx = g * gain.data
+        m1 = gx.mean(axis=1, keepdims=True)
+        m2 = (gx * xhat).mean(axis=1, keepdims=True)
+        return (gx - m1 - xhat * m2) * inv
 
-    return _result(data, (a, gain, bias), bwd)
+    return _result(data, (a, grad_a), (gain, lambda g: (g * xhat).sum(axis=0)),
+                   (bias, lambda g: g.sum(axis=0)))
 
 
 def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
@@ -371,13 +345,12 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
         raise IndexError("embedding id out of range")
     data = table.data[idx].copy()
 
-    def bwd(g: np.ndarray) -> None:
-        if table.requires_grad:
-            acc = np.zeros_like(table.data)
-            np.add.at(acc, idx, g)
-            table.accumulate_grad(acc)
+    def grad_table(g: np.ndarray) -> np.ndarray:
+        acc = np.zeros_like(table.data)
+        np.add.at(acc, idx, g)
+        return acc
 
-    return _result(data, (table,), bwd)
+    return _result(data, (table, grad_table))
 
 
 def take_rows(x: Tensor, ids: Sequence[int]) -> Tensor:
@@ -403,18 +376,15 @@ def conv1d_right_padded(x: Tensor, kernel: Tensor, pad: int) -> Tensor:
     for k in range(ksize):  # fixed tap order keeps the sum reproducible
         data += kernel.data[k] * xpad[k : k + length]
 
-    def bwd(g: np.ndarray) -> None:
-        if kernel.requires_grad:
-            kg = np.array([(g * xpad[k : k + length]).sum() for k in range(ksize)])
-            kernel.accumulate_grad(kg)
-        if x.requires_grad:
-            gpad = np.concatenate([np.zeros((pad, g.shape[1])), g], axis=0)
-            xg = np.zeros_like(x.data)
-            for k in range(ksize):
-                xg += kernel.data[k] * gpad[pad - k : pad - k + length]
-            x.accumulate_grad(xg)
+    def grad_x(g: np.ndarray) -> np.ndarray:
+        gpad = np.concatenate([np.zeros((pad, g.shape[1])), g], axis=0)
+        xg = np.zeros_like(x.data)
+        for k in range(ksize):
+            xg += kernel.data[k] * gpad[pad - k : pad - k + length]
+        return xg
 
-    return _result(data, (x, kernel), bwd)
+    return _result(data, (x, grad_x), (kernel, lambda g: np.array(
+        [(g * xpad[k : k + length]).sum() for k in range(ksize)])))
 
 
 def cross_entropy_ignore(
@@ -442,15 +412,14 @@ def cross_entropy_ignore(
     picked = logp[np.arange(active.size), tgt_arr[active]]
     data = np.asarray(-picked.sum() / active.size)
 
-    def bwd(g: np.ndarray) -> None:
-        if logits.requires_grad:
-            soft = np.exp(logp)
-            soft[np.arange(active.size), tgt_arr[active]] -= 1.0
-            full = np.zeros_like(logits.data)
-            full[active] = soft * (float(g) / active.size)
-            logits.accumulate_grad(full)
+    def grad_logits(g: np.ndarray) -> np.ndarray:
+        soft = np.exp(logp)
+        soft[np.arange(active.size), tgt_arr[active]] -= 1.0
+        full = np.zeros_like(logits.data)
+        full[active] = soft * (float(g) / active.size)
+        return full
 
-    return _result(data, (logits,), bwd)
+    return _result(data, (logits, grad_logits))
 
 
 def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tensor:
@@ -501,47 +470,51 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tenso
         data[lo:hi] = np.matmul(p[:, None, :], v.data[idx][None])[:, 0]
         groups.append((lo, hi, idx, p))
 
-    def bwd(g: np.ndarray) -> None:
-        qg = np.zeros_like(q.data) if q.requires_grad else None
-        kg = np.zeros_like(k.data) if k.requires_grad else None
-        vg = np.zeros_like(v.data) if v.requires_grad else None
-        for lo, hi, idx, p in groups:
-            gg = g[lo:hi]
-            gp = np.matmul(v.data[idx][None], gg[:, :, None])[..., 0]
-            gs = p * (gp - (gp * p).sum(axis=1, keepdims=True))
-            if qg is not None:
-                qg[lo:hi] = np.matmul(gs[:, None, :], k.data[idx][None])[:, 0] * inv_scale
-            # the outer products are exact; adding them into the window one
-            # row at a time, in row order, keeps the float sums of a row loop
-            if vg is not None:
-                for term in p[:, :, None] * gg[:, None, :]:
-                    vg[idx] += term
-            if kg is not None:
-                for term in gs[:, :, None] * (q.data[lo:hi] * inv_scale)[:, None, :]:
-                    kg[idx] += term
-        if qg is not None:
-            q.accumulate_grad(qg)
-        if kg is not None:
-            k.accumulate_grad(kg)
-        if vg is not None:
-            v.accumulate_grad(vg)
+    # the score gradients are computed once per backward: q's gradient hands
+    # them to k's, which _result calls next
+    handed: list[list[np.ndarray]] = []
 
-    return _result(data, (q, k, v), bwd)
+    def score_grads(g: np.ndarray) -> list[np.ndarray]:
+        """Gradient of each group's scaled scores, one [hi - lo, W] per group."""
+        out = []
+        for lo, hi, idx, p in groups:
+            gp = np.matmul(v.data[idx][None], g[lo:hi, :, None])[..., 0]
+            out.append(p * (gp - (gp * p).sum(axis=1, keepdims=True)))
+        return out
+
+    def grad_q(g: np.ndarray) -> np.ndarray:
+        gss = score_grads(g)
+        if k.requires_grad:
+            handed.append(gss)
+        qg = np.zeros_like(q.data)
+        for (lo, hi, idx, _), gs in zip(groups, gss):
+            qg[lo:hi] = np.matmul(gs[:, None, :], k.data[idx][None])[:, 0] * inv_scale
+        return qg
+
+    # the outer products are exact; adding them into the window one row at
+    # a time, in row order, keeps the float sums of a row loop
+    def grad_k(g: np.ndarray) -> np.ndarray:
+        kg = np.zeros_like(k.data)
+        for (lo, hi, idx, _), gs in zip(groups, handed.pop() if handed else score_grads(g)):
+            for term in gs[:, :, None] * (q.data[lo:hi] * inv_scale)[:, None, :]:
+                kg[idx] += term
+        return kg
+
+    def grad_v(g: np.ndarray) -> np.ndarray:
+        vg = np.zeros_like(v.data)
+        for lo, hi, idx, p in groups:
+            for term in p[:, :, None] * g[lo:hi, None, :]:
+                vg[idx] += term
+        return vg
+
+    return _result(data, (q, grad_q), (k, grad_k), (v, grad_v))
 
 
 def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
     """Add a [F] vector to every row of a [L, F] matrix."""
     if x.data.ndim != 2 or b.data.ndim != 1 or x.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"add_rowvec shapes {x.shape} vs {b.shape}")
-    data = x.data + b.data
-
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.accumulate_grad(g)
-        if b.requires_grad:
-            b.accumulate_grad(g.sum(axis=0))
-
-    return _result(data, (x, b), bwd)
+    return _result(x.data + b.data, (x, lambda g: g), (b, lambda g: g.sum(axis=0)))
 
 
 def concat_cols(parts: Iterable[Tensor]) -> Tensor:
@@ -554,13 +527,8 @@ def concat_cols(parts: Iterable[Tensor]) -> Tensor:
             raise DimensionError("concat_cols parts must share row count")
     data = np.concatenate([p.data for p in parts], axis=1)
     offsets = np.cumsum([0] + [p.data.shape[1] for p in parts])
-
-    def bwd(g: np.ndarray) -> None:
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                p.accumulate_grad(g[:, lo:hi])
-
-    return _result(data, tuple(parts), bwd)
+    return _result(data, *((p, lambda g, lo=lo, hi=hi: g[:, lo:hi])
+                           for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])))
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
@@ -570,38 +538,26 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
         raise DimensionError(f"column slice [{start}:{stop}) out of range")
     data = x.data[:, start:stop].copy()
 
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            full[:, start:stop] = g
-            x.accumulate_grad(full)
+    def grad_x(g: np.ndarray) -> np.ndarray:
+        full = np.zeros_like(x.data)
+        full[:, start:stop] = g
+        return full
 
-    return _result(data, (x,), bwd)
+    return _result(data, (x, grad_x))
 
 
 def abs_val(a: Tensor) -> Tensor:
-    return _unary(a, np.abs(a.data), lambda: np.sign(a.data))
+    return _result(np.abs(a.data), (a, lambda g: g * np.sign(a.data)))
 
 
 def sum_all(a: Tensor) -> Tensor:
-    data = np.asarray(a.data.sum())
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(np.full_like(a.data, float(g)))
-
-    return _result(data, (a,), bwd)
+    return _result(np.asarray(a.data.sum()), (a, lambda g: np.full_like(a.data, float(g))))
 
 
 def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
-    data = np.asarray(a.data.sum() / n)
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(np.full_like(a.data, float(g) / n))
-
-    return _result(data, (a,), bwd)
+    return _result(np.asarray(a.data.sum() / n),
+                   (a, lambda g: np.full_like(a.data, float(g) / n)))
 
 
 def check_gradients(

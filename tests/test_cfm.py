@@ -447,11 +447,22 @@ class TestStreaming:
         assert sum(rows) == calls_per_row * 30
 
     def test_emission_horizon_respects_lookahead(self):
-        model = small_model(seed=7)
-        spec = MaskSpec(MaskKind.FULL_CAUSAL)
-        # frame 0 needs token 0 plus lookahead 2: available only once
-        # three tokens arrived
-        assert cfm._token_horizon(model, 0, spec) == 2
+        # frames 0-1 need token 0 plus look-ahead 2: final only once three
+        # tokens arrived, and each further token settles two more frames
+        received = []
+
+        def one_by_one():
+            for t in range(6):
+                received.append(t)
+                yield [t]
+
+        packages = stream_generate(STREAM_MODEL, one_by_one(), np.zeros(SMALL.speaker_dim),
+                                   FeatureSeq(np.zeros((0, SMALL.n_features))), nfe=2,
+                                   spec=MaskSpec(MaskKind.FULL_CAUSAL, chunk=2))
+        first = next(packages)
+        assert (len(received), len(first)) == (SMALL.lookahead + 1, 2)
+        second = next(packages)
+        assert (len(received), len(second)) == (SMALL.lookahead + 2, 2)
 
 
 class TestEnergyDistance:

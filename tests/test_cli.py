@@ -242,6 +242,20 @@ class TestSynthesize:
         assert (out / "tokens.txt").read_text() == "#fsq D=4 K=1\n"
         assert (out / "features.sfea").read_text() == "SFEA 0 4\n"
 
+    def test_stream_eos_with_text_left_warns(self, workspace, tmp_path, capsys):
+        # the tiny LM, trained on texts of at most 5 symbols, says E long
+        # before it has read 511
+        _, _, runs, _ = workspace
+        code = run("synthesize", "--lm", runs / "lm.ssyn", "--cfm", runs / "cfm.ssyn",
+                   "--text", " ".join(["0"] * 511), "--set", "cfm.nfe=2",
+                   "--mode", "stream", "--out", tmp_path / "o", *TINY)
+        stdout = capsys.readouterr().out
+        assert code == 0
+        warnings = [ln for ln in stdout.splitlines() if ln.startswith("warning:")]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("warning: generation flags: ")
+        assert "eos-with-text-left" in warnings[0]
+
     def test_repeat_run_identical(self, workspace, tmp_path):
         _, _, runs, text = workspace
         a, b = tmp_path / "a", tmp_path / "b"

@@ -7,7 +7,7 @@ from streamsynth.config import ConfigError, RunConfig, load_config, split_seed
 from streamsynth.dataio import (MOTIF_LEN, CorpusFileError, gen_pairs, motif_map,
                                 read_corpus, read_preference_file, write_corpus,
                                 write_preference_file)
-from streamsynth.metrics import MetricsReport
+from streamsynth.metrics import MetricsReport, ReportFileError
 from streamsynth.rl import PreferencePair
 from streamsynth.seqlm import Vocabulary
 
@@ -122,6 +122,18 @@ class TestMetricsReport:
     def test_unknown_line_rejected(self):
         with pytest.raises(ValueError):
             MetricsReport.from_text("garbage=1\n")
+
+    @pytest.mark.parametrize("body, message", [
+        (b"provenance.seed=1\nmetric.x=\xe9\n", r"report\.txt: not UTF-8 text"),
+        (b"provenance.seed=1\nmetric.x=abc\n", r"report\.txt:2: 'abc' is not a number"),
+        (b"provenance.seed=x\n", r"report\.txt:1: 'x' is not an integer"),
+        (b"metric.x=1.0\n\ngarbage=1\n", r"report\.txt:3: unknown report line 'garbage=1'"),
+    ])
+    def test_bad_file_names_path_and_line(self, tmp_path, body, message):
+        path = tmp_path / "report.txt"
+        path.write_bytes(body)
+        with pytest.raises(ReportFileError, match=message):
+            MetricsReport.read(path)
 
 
 class TestDataIO:

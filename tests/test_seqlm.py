@@ -276,6 +276,16 @@ class TestDriver:
         assert model.cursor == len(script)  # one query per generated token
         assert not result.flags
 
+    def test_eos_with_text_left_is_flagged(self):
+        cfg = InterleaveConfig(n=2, m=3)
+        text = text_ids(0, 1, 2, 3)
+        model = ScriptedLM(VOCAB, [4, VOCAB.eos])
+        prompt = build_icl_prompt(VOCAB, [], text, [], "stream", cfg)
+        result = generate(model, prompt, VOCAB, cfg)
+        assert result.flags == ["eos-with-text-left"]
+        assert not result.truncated
+        assert result.ids == [VOCAB.sos, *text[:2], 4, VOCAB.eos]
+
     def test_stray_special_token_breaks_protocol(self):
         cfg = InterleaveConfig(n=2, m=3)
         text = text_ids(0, 1)

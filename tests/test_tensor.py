@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -373,6 +375,77 @@ class TestMaskedAttention:
             lambda: T.mean_all(T.abs_val(T.masked_attention(q, k, v, mask))),
             [q, k, v])
         assert err < 1e-4
+
+
+def _attention_case(rng, chunk):
+    # a chunk mask over 7 keys seen from the last 5 queries: several groups,
+    # some windows shared, as the stream K/V cache calls it
+    mask = build_mask(MaskSpec(MaskKind.CHUNK, chunk), 7)[2:]
+    return [rng.normal(size=(5, 3)), rng.normal(size=(7, 3)), rng.normal(size=(7, 3))], \
+        lambda q, k, v: T.masked_attention(q, k, v, mask)
+
+
+# every primitive with two or more tensor inputs -> (input arrays, op over Tensors);
+# ``variant`` picks a scalar operand, the row-stable matmul or a 1-frame chunk mask
+MULTI_INPUT_OPS = {
+    "add": lambda rng, variant: ([rng.normal(size=()) if variant else rng.normal(size=(3, 4)),
+                                 rng.normal(size=(3, 4))], T.add),
+    "sub": lambda rng, variant: ([rng.normal(size=(3, 4)),
+                                 rng.normal(size=()) if variant else rng.normal(size=(3, 4))],
+                                T.sub),
+    "mul": lambda rng, variant: ([rng.normal(size=(3, 4)),
+                                 rng.normal(size=()) if variant else rng.normal(size=(3, 4))],
+                                T.mul),
+    "matmul": lambda rng, variant: ([rng.normal(size=(3, 4)), rng.normal(size=(4, 2))],
+                                   lambda a, b: T.matmul(a, b, row_stable=variant)),
+    "layer_norm": lambda rng, variant: ([rng.normal(size=(3, 5)), rng.normal(size=5),
+                                        rng.normal(size=5)], T.layer_norm),
+    "conv1d_right_padded": lambda rng, variant: (
+        [rng.normal(size=(6, 3)), rng.normal(size=3)],
+        lambda x, k: T.conv1d_right_padded(x, k, 2)),
+    "add_rowvec": lambda rng, variant: ([rng.normal(size=(3, 4)), rng.normal(size=4)],
+                                       T.add_rowvec),
+    "concat_cols": lambda rng, variant: ([rng.normal(size=(3, 2)), rng.normal(size=(3, 1)),
+                                         rng.normal(size=(3, 4))],
+                                        lambda *parts: T.concat_cols(parts)),
+    "masked_attention": lambda rng, variant: _attention_case(rng, 1 if variant else 3),
+}
+
+
+class TestFrozenInputs:
+    """One gradient rule: freezing some inputs of a primitive leaves their
+    ``grad`` None and every other input's gradient byte-equal to the one it
+    gets when all inputs train."""
+
+    @given(st.sampled_from(sorted(MULTI_INPUT_OPS)), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_frozen_inputs_get_no_gradient_and_change_no_other(self, name, variant, seed):
+        rng = np.random.default_rng(seed)
+        arrays, op = MULTI_INPUT_OPS[name](rng, variant)
+
+        def grads(frozen):
+            inputs = [Tensor(a, requires_grad=i not in frozen) for i, a in enumerate(arrays)]
+            with Tape() as tape:
+                out = op(*inputs)
+                loss = T.sum_all(T.mul(out, Tensor(weights)))
+            if len(frozen) == len(inputs):
+                assert not loss.requires_grad
+            else:
+                tape.backward(loss)
+            return [t.grad for t in inputs]
+
+        weights = rng.normal(size=op(*map(Tensor, arrays)).shape)
+        trained = grads(())
+        assert all(g is not None for g in trained)
+        n = len(arrays)
+        for frozen in itertools.chain.from_iterable(
+                itertools.combinations(range(n), r) for r in range(1, n + 1)):
+            for i, g in enumerate(grads(frozen)):
+                if i in frozen:
+                    assert g is None
+                else:
+                    assert g.tobytes() == trained[i].tobytes(), (name, frozen, i)
 
 
 class TestTapeSemantics:
