@@ -23,12 +23,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import tensor as T
+from .fileio import read_text, write_lines
 from .nn import LayerNorm, Linear, TransformerBlock
 from .tensor import Tensor
 
@@ -439,15 +439,11 @@ def write_feature_file(path, seq: FeatureSeq) -> None:
     lines = [f"SFEA {seq.frames.shape[0]} {seq.frames.shape[1]}"]
     for row in seq.frames:
         lines.append(" ".join(repr(float(x)) for x in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def read_feature_file(path) -> FeatureSeq:
-    try:
-        header, *lines = Path(path).read_text(encoding="utf-8").split("\n")
-    except UnicodeDecodeError:
-        raise FeatureFileError(f"{path}: not UTF-8 text") from None
+    header, *lines = read_text(path, FeatureFileError).split("\n")
     header = header.split()
     if len(header) != 3 or header[0] != "SFEA":
         raise FeatureFileError(f"{path}: missing SFEA header")

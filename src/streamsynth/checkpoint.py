@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .fileio import read_bytes
+
 MAGIC = b"SSYN"
 VERSION = 1
 
@@ -51,7 +53,7 @@ def save_checkpoint(path, module: str, named_arrays: Sequence[tuple[str, np.ndar
 
 def load_checkpoint(path):
     """Returns (module_name, {param_name: array}, metadata dict)."""
-    raw = Path(path).read_bytes()
+    raw = read_bytes(path, CheckpointError)
     if len(raw) < 12 or raw[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a SSYN checkpoint")
     version = struct.unpack_from("<I", raw, 4)[0]

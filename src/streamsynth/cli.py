@@ -25,6 +25,7 @@ from . import persist
 from . import rl as rl_mod
 from . import seqlm
 from .config import ConfigError, RunConfig, load_config, split_seed
+from .fileio import write_lines
 from .metrics import MetricsReport
 from .nn import Adam
 
@@ -307,8 +308,7 @@ def cmd_finetune(args) -> int:
     lm, _ = _load_models(cfg, args.lm)
     vocab = lm.vocab
     pairs = _corpus(Path(args.data), vocab)
-    crng = np.random.default_rng(split_seed(cfg.run.seed, "corpus"))
-    motifs = dataio.motif_map(vocab, crng)
+    motifs = dataio.motifs_of(pairs)
 
     fcfg = fsq_mod.FsqConfig(cfg.fsq.d, cfg.fsq.k)
     arng = np.random.default_rng(split_seed(cfg.run.seed, "asr"))
@@ -379,9 +379,7 @@ def cmd_bench_latency(args) -> int:
     for line in lines:
         print(line)
     if args.out:
-        out = _out_dir(args.out)
-        with open(out / "report_latency.txt", "w", encoding="utf-8", newline="\n") as f:
-            f.write("\n".join(lines) + "\n")
+        write_lines(_out_dir(args.out) / "report_latency.txt", lines)
     return 0
 
 

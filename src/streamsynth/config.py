@@ -5,9 +5,9 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 from .cfm import MaskKind
+from .fileio import read_text
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "split_seed"]
 
@@ -145,10 +145,7 @@ def load_config(path=None, overrides: dict[str, str] | None = None) -> RunConfig
     entries: list[tuple[str, str, str, str]] = []  # (section, key, value, where)
 
     if path is not None:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError:
-            raise ConfigError([f"{path}: not UTF-8 text"]) from None
+        text = read_text(path, lambda message: ConfigError([message]))
         section = None
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()

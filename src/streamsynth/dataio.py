@@ -7,17 +7,17 @@ alignment and consistency are learnable at desk scale.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from .cfm import UPSAMPLE, FeatureSeq
+from .fileio import read_text, write_lines
 from .rl import PreferencePair
 from .seqlm import Vocabulary
 
 __all__ = [
     "MOTIF_LEN",
     "motif_map",
+    "motifs_of",
     "gen_pairs",
     "CorpusFileError",
     "PreferenceFileError",
@@ -35,27 +35,21 @@ MOTIF_LEN = 3
 
 
 class CorpusFileError(ValueError):
-    """A corpus file is not UTF-8 text or holds a malformed line."""
+    """A corpus file cannot be read, is not UTF-8 text or holds a malformed line."""
 
 
 class PreferenceFileError(ValueError):
-    """A preference file is not UTF-8 text or holds a malformed line."""
+    """A preference file cannot be read, is not UTF-8 text or holds a malformed line."""
 
 
 class SpeakerFileError(ValueError):
-    """A speaker file is not UTF-8 text or not a vector of the expected finite reals."""
-
-
-def _text(path, error: type[ValueError]) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise error(f"{path}: not UTF-8 text") from None
+    """A speaker file cannot be read, is not UTF-8 text or is not a vector of
+    the expected finite reals."""
 
 
 def _lines(path, error: type[ValueError]) -> list[tuple[int, str]]:
     """(line number, stripped text) of every non-blank line of a UTF-8 file."""
-    return [(n, line.strip()) for n, line in enumerate(_text(path, error).split("\n"), 1)
+    return [(n, line.strip()) for n, line in enumerate(read_text(path, error).split("\n"), 1)
             if line.strip()]
 
 
@@ -92,6 +86,17 @@ def speech_for_text(text: list[int], motifs: dict[int, tuple[int, ...]]) -> list
     return out
 
 
+def motifs_of(pairs) -> dict[int, tuple[int, ...]]:
+    """The motif map a corpus was rendered with: the inverse of
+    :func:`speech_for_text` over groups of MOTIF_LEN speech tokens, for every
+    text symbol the corpus uses (its first occurrence decides)."""
+    motifs: dict[int, tuple[int, ...]] = {}
+    for text, speech in pairs:
+        for i, t in enumerate(text):
+            motifs.setdefault(t, tuple(speech[MOTIF_LEN * i : MOTIF_LEN * (i + 1)]))
+    return motifs
+
+
 def gen_pairs(vocab: Vocabulary, motifs: dict[int, tuple[int, ...]],
               rng: np.random.Generator, n_pairs: int,
               min_len: int = 3, max_len: int = 8) -> list[tuple[list[int], list[int]]]:
@@ -104,14 +109,9 @@ def gen_pairs(vocab: Vocabulary, motifs: dict[int, tuple[int, ...]],
 
 
 def write_corpus(path, pairs) -> None:
-    lines = []
-    for text, speech in pairs:
-        lines.append(
-            "TEXT " + " ".join(str(t) for t in text)
-            + " | SPEECH " + " ".join(str(s) for s in speech)
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + ("\n" if lines else ""))
+    write_lines(path, ("TEXT " + " ".join(str(t) for t in text)
+                       + " | SPEECH " + " ".join(str(s) for s in speech)
+                       for text, speech in pairs))
 
 
 def read_corpus(path) -> list[tuple[list[int], list[int]]]:
@@ -128,13 +128,12 @@ def read_corpus(path) -> list[tuple[list[int], list[int]]]:
 
 
 def write_speaker_file(path, speaker: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(" ".join(repr(float(x)) for x in speaker) + "\n")
+    write_lines(path, [" ".join(repr(float(x)) for x in speaker)])
 
 
 def read_speaker_file(path, dim: int) -> np.ndarray:
     """The speaker vector: ``dim`` finite reals separated by whitespace."""
-    fields = _text(path, SpeakerFileError).split()
+    fields = read_text(path, SpeakerFileError).split()
     try:
         speaker = np.array([float(x) for x in fields])
     except ValueError:
@@ -211,15 +210,10 @@ def moon_frames_for_token(token: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def write_preference_file(path, records) -> None:
-    lines = []
-    for rec in records:
-        lines.append(
-            "Y " + " ".join(str(t) for t in rec.context)
-            + " | W " + " ".join(str(t) for t in rec.preferred)
-            + " | L " + " ".join(str(t) for t in rec.rejected)
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + ("\n" if lines else ""))
+    write_lines(path, ("Y " + " ".join(str(t) for t in rec.context)
+                       + " | W " + " ".join(str(t) for t in rec.preferred)
+                       + " | L " + " ".join(str(t) for t in rec.rejected)
+                       for rec in records))
 
 
 def read_preference_file(path) -> list[PreferencePair]:

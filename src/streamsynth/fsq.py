@@ -10,16 +10,15 @@ the bottleneck of a small supervised tokenizer.
 
 from __future__ import annotations
 
-import io
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import tensor as T
 from .config import split_seed
+from .fileio import read_text, write_lines
 from .nn import Adam, Linear
 from .tensor import Tensor
 
@@ -216,22 +215,17 @@ class VqBaseline:
 
 
 def write_token_file(path, tokens: Sequence[int], config: FsqConfig) -> None:
-    buf = io.StringIO()
-    buf.write(f"#fsq D={config.d} K={config.k}\n")
+    lines = [f"#fsq D={config.d} K={config.k}"]
     for mu in tokens:
         mu = int(mu)
         if mu < 0 or mu >= config.codebook_size:
             raise RangeError(f"token {mu} outside codebook")
-        buf.write(f"{mu}\n")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(buf.getvalue())
+        lines.append(str(mu))
+    write_lines(path, lines)
 
 
 def read_token_file(path) -> tuple[list[int], FsqConfig]:
-    try:
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
-    except UnicodeDecodeError:
-        raise TokenFileError(f"{path}: not UTF-8 text") from None
+    lines = read_text(path, TokenFileError).split("\n")
     header = lines[0].strip()
     if not header.startswith("#fsq "):
         raise TokenFileError(f"{path}: missing #fsq header")
@@ -247,11 +241,11 @@ def read_token_file(path) -> tuple[list[int], FsqConfig]:
         if not line.strip():
             continue
         try:
-            tokens.append(int(line))
+            mu = int(line)
         except ValueError:
             raise TokenFileError(
                 f"{path}:{lineno}: token {line.strip()!r} is not an integer") from None
-    for mu in tokens:
         if mu < 0 or mu >= config.codebook_size:
-            raise RangeError(f"{path}: token {mu} outside codebook")
+            raise RangeError(f"{path}:{lineno}: token {mu} outside codebook")
+        tokens.append(mu)
     return tokens, config

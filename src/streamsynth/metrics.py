@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
+
+from .fileio import read_text, write_lines
 
 ARTIFACT_VERSION = "streamsynth-0.1.0"
 
@@ -19,7 +20,7 @@ class MetricsReport:
     seed: int = 0
     version: str = ARTIFACT_VERSION
 
-    def to_text(self) -> str:
+    def _lines(self) -> list[str]:
         lines = [
             f"provenance.version={self.version}",
             f"provenance.config_hash={self.config_hash}",
@@ -27,10 +28,13 @@ class MetricsReport:
         ]
         for name in sorted(self.metrics):
             lines.append(f"metric.{name}={self.metrics[name]!r}")
-        return "\n".join(lines) + "\n"
+        return lines
+
+    def to_text(self) -> str:
+        return "".join(line + "\n" for line in self._lines())
 
     def write(self, path) -> None:
-        Path(path).write_text(self.to_text(), encoding="utf-8", newline="\n")
+        write_lines(path, self._lines())
 
     @classmethod
     def from_text(cls, text: str) -> "MetricsReport":
@@ -38,11 +42,7 @@ class MetricsReport:
 
     @classmethod
     def read(cls, path) -> "MetricsReport":
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError:
-            raise ReportFileError(f"{path}: not UTF-8 text") from None
-        return cls._parse(text, path)
+        return cls._parse(read_text(path, ReportFileError), path)
 
     @classmethod
     def _parse(cls, text: str, source) -> "MetricsReport":

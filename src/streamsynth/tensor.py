@@ -2,7 +2,7 @@
 
 Every array in this package is a row-major float64 ndarray wrapped in a
 :class:`Tensor`. Operations executed while a :class:`Tape` is active are
-recorded so that :func:`backward` can replay them in exact reverse order.
+recorded so that :meth:`Tape.backward` can replay them in exact reverse order.
 Reductions run left-to-right (or via kernels verified to be prefix-stable)
 so that repeated runs and streaming prefix runs are reproducible at the
 bit level.
@@ -47,7 +47,6 @@ __all__ = [
     "abs_val",
     "sum_all",
     "mean_all",
-    "backward",
     "check_gradients",
 ]
 
@@ -73,7 +72,7 @@ class MaskedRowError(ValueError):
 class Tensor:
     """A dense float64 array with an optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_tape")
+    __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -82,7 +81,6 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._tape: "Tape | None" = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -146,13 +144,12 @@ class Tape:
         self._prev = None
 
     def record(self, out: Tensor, backward_fn: Callable[[np.ndarray], None]) -> None:
-        out._tape = self
         self.nodes.append(_Node(out, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
         if loss.data.size != 1:
             raise TapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        if loss._tape is not self:
+        if not any(node.out is loss for node in reversed(self.nodes)):
             raise TapeError("loss was not produced on this tape")
         loss.accumulate_grad(np.ones_like(loss.data))
         for node in reversed(self.nodes):
@@ -173,13 +170,6 @@ def suspend_tape() -> Iterator[None]:
         _tls.tape = prev
 
 
-def backward(loss: Tensor) -> None:
-    """Populate .grad on every recorded input reachable from ``loss``."""
-    if loss._tape is None:
-        raise TapeError("loss was not produced on an active tape")
-    loss._tape.backward(loss)
-
-
 def _result(data: np.ndarray,
             *grads: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
     """Wrap ``data`` as the output of a primitive with one ``(input, fn)``
@@ -198,7 +188,6 @@ def _result(data: np.ndarray,
     out.data = data
     out.grad = None
     out.requires_grad = needs
-    out._tape = None
     if needs:
         def backward_fn(g: np.ndarray) -> None:
             for t, fn in grads:

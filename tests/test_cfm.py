@@ -183,7 +183,7 @@ class TestTrainingStep:
                                  np.random.default_rng(7),
                                  oracle_field=x1.frames - x0)
         # a constant-oracle loss never touches the model, so nothing records
-        assert loss._tape is None
+        assert not loss.requires_grad and tape.nodes == []
         assert all(p.grad is None for p in params)
 
     def test_full_mask_fraction_zeroes_reference(self):

@@ -94,6 +94,12 @@ class TestValidation:
         assert code == 2
         assert "bad.cfg: not UTF-8" in err and "Traceback" not in err
 
+    def test_directory_as_config_named(self, tmp_path, capsys):
+        code = run("bench-latency", "--config", tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{tmp_path}: cannot read" in err and "Traceback" not in err
+
     def test_non_finite_float_exits_2(self, capsys):
         code = run("bench-latency", "--set", "latency.d_lm=nan")
         out, err = capsys.readouterr()

@@ -5,7 +5,7 @@ import pytest
 
 from streamsynth.config import ConfigError, RunConfig, load_config, split_seed
 from streamsynth.dataio import (MOTIF_LEN, CorpusFileError, gen_pairs, motif_map,
-                                read_corpus, read_preference_file, write_corpus,
+                                motifs_of, read_corpus, read_preference_file, write_corpus,
                                 write_preference_file)
 from streamsynth.metrics import MetricsReport, ReportFileError
 from streamsynth.rl import PreferencePair
@@ -156,6 +156,16 @@ class TestDataIO:
             assert len(speech) == MOTIF_LEN * len(text)
             for i, t in enumerate(text):
                 assert tuple(speech[MOTIF_LEN * i: MOTIF_LEN * (i + 1)]) == motifs[t]
+
+    def test_motifs_of_inverts_the_corpus(self):
+        vocab = Vocabulary(81, 16)
+        rng = np.random.default_rng(3)
+        motifs = motif_map(vocab, rng)
+        pairs = gen_pairs(vocab, motifs, rng, 6, 2, 4)
+        used = {t for text, _ in pairs for t in text}
+        found = motifs_of(pairs)
+        assert set(found) == used and len(used) < len(motifs)
+        assert all(found[t] == motifs[t] for t in used)
 
     def test_corpus_roundtrip(self, tmp_path):
         vocab = Vocabulary(81, 16)

@@ -1,10 +1,12 @@
-"""Readers of the six file formats fail on bad input with their typed error.
+"""Readers of the file formats fail on bad input with their typed error.
 
 Each fuzz test mutates a valid file (byte flips, insertions, deletions,
 replacements, truncation) and requires that the reader either parses the
 result or raises the format's typed ``ValueError`` subclass with the path in
 its message; any other exception fails the test.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from hypothesis import strategies as st
 
 from streamsynth import cfm, dataio, fsq, rl
 from streamsynth.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from streamsynth.config import ConfigError, load_config
+from streamsynth.metrics import MetricsReport, ReportFileError
 from streamsynth.persist import load_lm, save_lm
 from streamsynth.seqlm import ToyLM, Vocabulary
 
@@ -122,6 +126,36 @@ def test_non_utf8_names_path(valid_files, name):
     path.write_bytes(raw[:14] + b"\xe9" + raw[14:])
     with pytest.raises(error, match="not UTF-8"):
         read(path)
+
+
+@pytest.mark.parametrize("name", list(FORMATS))
+def test_directory_names_path(tmp_path, name):
+    _, read, error = FORMATS[name]
+    with pytest.raises(error, match=re.escape(f"{tmp_path}: cannot read")):
+        read(tmp_path)
+
+
+@pytest.mark.parametrize("read,error", [
+    (MetricsReport.read, ReportFileError),
+    (load_config, ConfigError),
+])
+def test_directory_names_path_report_and_config(tmp_path, read, error):
+    with pytest.raises(error, match=re.escape(f"{tmp_path}: cannot read")):
+        read(tmp_path)
+
+
+def test_token_outside_codebook_named_with_line(tmp_path):
+    path = tmp_path / "tokens.txt"
+    path.write_text("#fsq D=2 K=1\n3\n\n9\n")
+    with pytest.raises(fsq.RangeError, match="tokens.txt:4: token 9 outside codebook"):
+        fsq.read_token_file(path)
+
+
+def test_token_writer_leaves_no_file_for_token_outside_codebook(tmp_path):
+    path = tmp_path / "tokens.txt"
+    with pytest.raises(fsq.RangeError):
+        fsq.write_token_file(path, [3, 9], fsq.FsqConfig(2, 1))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("read,error,text", [

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from streamsynth import tensor as T
 from streamsynth.cfm import MaskKind, MaskSpec, build_mask
+from streamsynth.nn import Adam, Linear, TransformerBlock
 from streamsynth.tensor import Tape, Tensor
 
 
@@ -460,7 +462,31 @@ class TestTapeSemantics:
         x = Tensor(np.ones(3), requires_grad=True)
         y = T.sum_all(x)  # no tape active: not recorded
         with pytest.raises(T.TapeError):
-            T.backward(y)
+            Tape().backward(y)
+
+    def test_recorded_steps_leave_no_cyclic_garbage(self):
+        # a tensor does not point back at its tape, so a finished step is
+        # freed by reference counting alone
+        rng = np.random.default_rng(0)
+        table = rand(rng, 12, 8)
+        block = TransformerBlock(rng, 8)
+        head = Linear(rng, 8, 12)
+        opt = Adam([table, *block.parameters(), *head.parameters()], lr=1e-3)
+        ids = [1, 4, 2, 7, 3]
+        mask = np.tril(np.ones((5, 5), dtype=bool))
+
+        def loss():
+            h = block(T.embedding_lookup(table, ids), mask)
+            return T.cross_entropy_ignore(head(h), ids[1:] + [0], [False] * 4 + [True])
+
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(50):
+                opt.minimize(loss)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_grad_accumulates_over_reuse(self):
         x = Tensor([2.0], requires_grad=True)
