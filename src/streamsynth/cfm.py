@@ -11,6 +11,10 @@ as the tokens its window and the look-ahead convolution need have arrived,
 reproducing the offline result exactly. CHUNK2 widens by one chunk at every
 application; it trains and samples offline but does not stream.
 
+Classifier-free guidance runs its conditional and unconditional passes as
+one estimator call per Euler step, over both passes' rows stacked behind a
+block-diagonal attention mask.
+
 Streaming keeps state between chunks: an emitted frame is final at every
 Euler step, CFG pass and estimator block, so its keys and values there are
 kept, and each chunk integrates only the frames it completed, once, against
@@ -227,30 +231,41 @@ class CfmModel:
 
     def field(self, state: Tensor, t: float, cond: ConditionSet, mask: np.ndarray,
               token_feats: Tensor | None = None, unconditional: bool = False,
-              kv: list[list[np.ndarray]] | None = None) -> Tensor:
+              kv: list[list[np.ndarray]] | None = None, guided: bool = False) -> Tensor:
         """Estimated velocity for every frame of ``state`` at time ``t``.
 
         ``state`` holds the last rows of the mask.shape[1] frames the mask
         spans. Earlier frames enter only through ``kv``, one [K, V] per
         estimator block (see :meth:`TransformerBlock.__call__`), and then
-        ``token_feats`` must cover just the rows of ``state``.
+        ``token_feats`` must cover just the rows of ``state``; without
+        ``kv`` they default to the token conditions under the conditional
+        pass's own mask, the first L rows and columns of ``mask``.
+
+        With ``guided`` the call runs both CFG passes at once: the rows of
+        ``state`` conditional, then again unconditional (zero token
+        features, speaker and reference), and returns the 2L rows in that
+        order. ``mask`` then has those 2L rows over both passes' keys, and
+        each pass's frames count once in mask.shape[1]. No gradient reaches
+        ``state`` or the conditions through a guided call.
         """
         length = state.data.shape[0]
-        start = mask.shape[1] - length
+        start = mask.shape[1] // (2 if guided else 1) - length
+        t_rows = Tensor(np.tile(_time_embedding(t, self.config.time_dim), (length, 1)))
+        width = self.cond_width + self.config.speaker_dim + self.config.n_features
         if unconditional:
-            cond_feats = Tensor(np.zeros((length, self.cond_width)))
-            v_rows = Tensor(np.zeros((length, self.config.speaker_dim)))
-            ref = Tensor(np.zeros((length, self.config.n_features)))
+            inp = T.concat_cols([state, t_rows, Tensor(np.zeros((length, width)))])
         else:
             cond_feats = token_feats if token_feats is not None \
-                else self.token_conditions(cond.tokens, mask)
+                else self.token_conditions(cond.tokens, mask[:length, :length])
             if cond_feats.data.shape[0] != length:
                 raise T.DimensionError("token conditions do not cover the state length")
             v_rows = Tensor(np.tile(cond.v, (length, 1)))
             ref = Tensor(_ref_rows(cond.masked_ref.frames, start, start + length,
                                    self.config.n_features))
-        t_rows = Tensor(np.tile(_time_embedding(t, self.config.time_dim), (length, 1)))
-        inp = T.concat_cols([state, t_rows, cond_feats, v_rows, ref])
+            inp = T.concat_cols([state, t_rows, cond_feats, v_rows, ref])
+        if guided:  # then the unconditional pass: the same rows, conditions zeroed
+            blank = np.concatenate([inp.data[:, :-width], np.zeros((length, width))], axis=1)
+            inp = Tensor(np.concatenate([inp.data, blank]))
         x = T.relu(self.est_in(inp, row_stable=True))
         for b, block in enumerate(self.est_blocks):
             x = block(x, mask, row_stable=True, kv=None if kv is None else kv[b])
@@ -306,18 +321,33 @@ def training_step(model: CfmModel, x1: FeatureSeq, cond_v: np.ndarray,
 
 def cfg_field(model: CfmModel, state: Tensor, t: float, cond: ConditionSet,
               beta: float, mask: np.ndarray, token_feats: Tensor | None = None,
-              kv: Sequence[list | None] = (None, None)) -> Tensor:
+              kv: list | None = None, keys: np.ndarray | None = None) -> Tensor:
     """Guided field (1+beta)*conditional - beta*unconditional.
 
-    ``kv`` pairs the conditional and unconditional :meth:`CfmModel.field` caches.
+    ``mask`` is one pass's mask, [L, n] for the L rows of ``state``. For
+    ``beta > 0`` both passes are one :meth:`CfmModel.field` call over their
+    rows stacked, under a mask block-diagonal over the two passes, so each
+    pass attends only to its own rows and keys; the estimator's row-stable
+    kernels give every row the bytes of two separate calls. ``kv`` then
+    holds both passes' keys of the frames before ``state``, one [K, V] per
+    estimator block. ``keys`` orders the key columns, the cached ones and
+    then those of ``state``'s rows, as indices into [conditional frames
+    0:n; unconditional frames 0:n]; without it they come in that order.
     """
-    if beta < 0.0:
-        raise ValueError("guidance strength must be >= 0")
-    conditional = model.field(state, t, cond, mask, token_feats=token_feats, kv=kv[0])
+    _check_beta(beta)
     if beta == 0.0:
-        return conditional
-    unconditional = model.field(state, t, cond, mask, unconditional=True, kv=kv[1])
-    return T.sub(T.scale(conditional, 1.0 + beta), T.scale(unconditional, beta))
+        return model.field(state, t, cond, mask, token_feats=token_feats, kv=kv)
+    length, n = state.data.shape[0], mask.shape[1]
+    stacked = np.zeros((2 * length, 2 * n), dtype=bool)
+    stacked[:length, :n] = stacked[length:, n:] = mask
+    both = model.field(state, t, cond, stacked if keys is None else stacked[:, keys],
+                       token_feats=token_feats, kv=kv, guided=True).data
+    return Tensor(both[:length] * (1.0 + beta) - both[length:] * beta)
+
+
+def _check_beta(beta: float) -> None:
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"guidance strength must be finite and >= 0, not {beta}")
 
 
 def _frame_noise(seed: int, start: int, stop: int, n_features: int) -> np.ndarray:
@@ -332,24 +362,29 @@ def _frame_noise(seed: int, start: int, stop: int, n_features: int) -> np.ndarra
     return out
 
 
-def _integrate(model: CfmModel, cond: ConditionSet, start: int, stop: int, nfe: int,
+def _integrate(model: CfmModel, cond: ConditionSet, edges: Sequence[int], nfe: int,
                beta: float, spec: MaskSpec, seed: int, cache: list | None = None) -> np.ndarray:
-    """Euler-integrate frames start:stop of the UPSAMPLE x len(cond.tokens) frames.
+    """Euler-integrate frames start:stop of the UPSAMPLE x len(cond.tokens)
+    frames, ``start`` and ``stop`` being the last two of ``edges``.
 
     No frame before ``stop`` may attend to a frame at or past it under
     ``spec``. Frames before ``start`` must be final, with their keys and
-    values in ``cache``: one [K, V] per (step, CFG pass, estimator block),
-    to which this call appends those of frames start:stop.
+    values in ``cache``: one [K, V] per (step, estimator block) holding both
+    CFG passes, to which this call appends those of frames start:stop. The
+    keys came in packages, frames a:b for each pair of ``edges``, each
+    package's conditional keys before its unconditional ones.
     """
+    start, stop = edges[-2:]
     mask = build_mask(spec, UPSAMPLE * len(cond.tokens))
     token_feats = Tensor(model.token_conditions(cond.tokens, mask).data[start:stop])
     rows = mask[start:stop, :stop]
+    keys = np.concatenate([np.r_[a:b, stop + a:stop + b] for a, b in zip(edges, edges[1:])])
     x = _frame_noise(seed, start, stop, model.config.n_features)
     grid = [cosine_schedule(k / nfe) for k in range(nfe + 1)]
     for k in range(nfe):
         state = Tensor(x)
         vel = cfg_field(model, state, grid[k], cond, beta, rows, token_feats=token_feats,
-                        kv=cache[2 * k : 2 * k + 2] if cache else (None, None))
+                        kv=cache[k] if cache else None, keys=keys)
         x = x + (grid[k + 1] - grid[k]) * vel.data
     return x
 
@@ -359,6 +394,7 @@ def sample(model: CfmModel, cond: ConditionSet, length: int, nfe: int = 10,
     """Euler integration from gaussian noise along the cosine-scheduled grid."""
     if nfe < 1:
         raise ValueError("nfe must be >= 1")
+    _check_beta(beta)
     if length != UPSAMPLE * len(cond.tokens):
         raise T.DimensionError(
             f"length {length} != {UPSAMPLE} x {len(cond.tokens)} tokens"
@@ -366,7 +402,7 @@ def sample(model: CfmModel, cond: ConditionSet, length: int, nfe: int = 10,
     spec = spec if spec is not None else MaskSpec(MaskKind.NON_CAUSAL)
     if length == 0:  # no tokens, no frames: as stream_generate, which yields none
         return FeatureSeq(np.zeros((0, model.config.n_features)))
-    return FeatureSeq(_integrate(model, cond, 0, length, nfe, beta, spec, seed))
+    return FeatureSeq(_integrate(model, cond, [0, length], nfe, beta, spec, seed))
 
 
 def stream_generate(model: CfmModel, token_chunks: Iterable[Sequence[int]],
@@ -389,14 +425,17 @@ def stream_generate(model: CfmModel, token_chunks: Iterable[Sequence[int]],
     frame ``s - 1``, that is token ``(s - 1) // UPSAMPLE``; the look-ahead
     convolution then adds P tokens.
 
-    The call keeps one piece of state across packages: the emitted frontier
-    ``done`` and, for every frame before it, its keys and values at each
-    (Euler step, CFG pass, estimator block). Each package integrates only
-    the frames it completed, ``done:safe``, once, against that state, which
-    only grows. The token conditions are recomputed over all received
-    tokens. The state is nfe x 2 x n_estimator_blocks [K, V] pairs of
-    [done, hidden] float64 arrays; at 192 frames and the default config
-    (nfe 10, 3 blocks, hidden 24) that is 4.4 MB.
+    The call keeps one piece of state across packages: the package
+    boundaries ``edges``, whose last is the emitted frontier ``done``, and,
+    for every frame before ``done``, its keys and values at each (Euler
+    step, estimator block), both CFG passes' in the order their packages
+    came (see :func:`_integrate`). Each package integrates only the frames
+    it completed, ``done:safe``, once, against that state, which only
+    grows. The token conditions are recomputed over all received tokens.
+    The state is nfe x n_estimator_blocks [K, V] pairs, each of
+    [2 x done, hidden] float64 rows (one pass's rows under ``beta == 0``);
+    at 192 frames and the default config (nfe 10, 3 blocks, hidden 24)
+    that is 4.4 MB.
     """
     spec = spec if spec is not None else MaskSpec(MaskKind.CHUNK)
     if spec.kind not in (MaskKind.FULL_CAUSAL, MaskKind.CHUNK):
@@ -404,22 +443,23 @@ def stream_generate(model: CfmModel, token_chunks: Iterable[Sequence[int]],
             f"streaming synthesis needs the causal or chunk mask, not {spec.kind.value}")
     if nfe < 1:
         raise ValueError("nfe must be >= 1")
+    _check_beta(beta)
     lookahead = model.config.lookahead
     received: list[int] = []
-    done = 0
+    edges = [0]  # package boundaries; the last is the emitted frontier
     empty = np.zeros((0, model.config.hidden))
-    cache = [[[empty, empty] for _ in model.est_blocks] for _ in range(2 * nfe)]
+    cache = [[[empty, empty] for _ in model.est_blocks] for _ in range(nfe)]
     for chunk in itertools.chain(token_chunks, [None]):  # None: the input has ended
         if chunk is None:
             safe = UPSAMPLE * len(received)
         else:  # the last mask-chunk boundary that the received tokens settle
             received.extend(int(t) for t in chunk)
-            safe = max(done, UPSAMPLE * (len(received) - lookahead) // spec.chunk * spec.chunk)
-        if safe > done:
+            safe = max(edges[-1],
+                       UPSAMPLE * (len(received) - lookahead) // spec.chunk * spec.chunk)
+        if safe > edges[-1]:
+            edges.append(safe)
             cond = ConditionSet(cond_v, received, ref)
-            yield FeatureSeq(_integrate(model, cond, done, safe, nfe, beta, spec, seed,
-                                        cache))
-            done = safe
+            yield FeatureSeq(_integrate(model, cond, edges, nfe, beta, spec, seed, cache))
 
 
 def energy_distance(xs: np.ndarray, ys: np.ndarray) -> float:

@@ -300,6 +300,14 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _result(data, (a, lambda g: (g - (g * data).sum(axis=axis, keepdims=True)) * data))
 
 
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=1, keepdims=True)`` byte for byte: the same sum, divided in
+    place as ``np.mean`` divides it, without that function's Python dispatch."""
+    out = x.sum(axis=1, keepdims=True)
+    out /= x.shape[1]
+    return out
+
+
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row normalization over the last axis, then affine."""
     if a.data.ndim != 2:
@@ -307,17 +315,17 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     f = a.data.shape[1]
     if gain.data.shape != (f,) or bias.data.shape != (f,):
         raise DimensionError("layer_norm gain/bias must have shape [F]")
-    mu = a.data.mean(axis=1, keepdims=True)
+    mu = _row_mean(a.data)
     centered = a.data - mu
-    var = (centered * centered).mean(axis=1, keepdims=True)
+    var = _row_mean(centered * centered)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = centered * inv
     data = xhat * gain.data + bias.data
 
     def grad_a(g: np.ndarray) -> np.ndarray:
         gx = g * gain.data
-        m1 = gx.mean(axis=1, keepdims=True)
-        m2 = (gx * xhat).mean(axis=1, keepdims=True)
+        m1 = _row_mean(gx)
+        m2 = _row_mean(gx * xhat)
         return (gx - m1 - xhat * m2) * inv
 
     return _result(data, (a, grad_a), (gain, lambda g: (g * xhat).sum(axis=0)),

@@ -136,12 +136,14 @@ class TestCfgField:
             config = SMALL
 
             def field(self, state, t, cond, mask, token_feats=None,
-                      unconditional=False, kv=None):
-                value = 0.0 if unconditional else 1.0
-                return Tensor(np.full(state.data.shape, value))
+                      unconditional=False, kv=None, guided=False):
+                # one call for both passes: conditional rows over unconditional ones
+                assert guided and mask.shape == (6, 6)
+                return Tensor(np.concatenate([np.ones(state.data.shape),
+                                              np.zeros(state.data.shape)]))
 
         state = Tensor(np.zeros((3, SMALL.n_features)))
-        out = cfg_field(Wired(), state, 0.1, None, 0.7, None)
+        out = cfg_field(Wired(), state, 0.1, None, 0.7, np.ones((3, 3), dtype=bool))
         assert np.allclose(out.data, 1.7, atol=1e-15)
 
     def test_affine_identity_in_beta(self):
@@ -153,10 +155,63 @@ class TestCfgField:
         outs = {b: cfg_field(model, state, 0.3, cond, b, mask).data for b in (0, 1, 2)}
         assert np.allclose(outs[2], 2 * outs[1] - outs[0], atol=1e-12)
 
-    def test_negative_beta_rejected(self):
+    @pytest.mark.parametrize("beta", [-0.5, math.nan, math.inf])
+    def test_beta_outside_finite_nonnegative_rejected(self, beta):
         model = small_model()
-        with pytest.raises(ValueError):
-            cfg_field(model, Tensor(np.zeros((2, 4))), 0.1, None, -0.5, None)
+        with pytest.raises(ValueError, match="guidance strength"):
+            cfg_field(model, Tensor(np.zeros((2, 4))), 0.1, None, beta, None)
+
+    @pytest.mark.parametrize("beta", [-0.5, math.nan, math.inf])
+    def test_samplers_reject_beta_before_estimator_work(self, beta, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("estimator work ran before the beta check")
+
+        monkeypatch.setattr(CfmModel, "field", no_work)
+        monkeypatch.setattr(CfmModel, "token_conditions", no_work)
+        cond = conditions(np.random.default_rng(4), 3)
+        with pytest.raises(ValueError, match="guidance strength"):
+            sample(STREAM_MODEL, cond, 6, beta=beta)
+        with pytest.raises(ValueError, match="guidance strength"):
+            next(stream_generate(STREAM_MODEL, [cond.tokens], cond.v, cond.masked_ref,
+                                 beta=beta, spec=MaskSpec(MaskKind.CHUNK, chunk=2)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(list(MaskKind)), chunk=st.integers(1, 8),
+           beta=st.sampled_from([0.7, 1.0, 2.0]), nfe=st.integers(1, 3),
+           sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+           ref_len=st.integers(0, 12), seed=st.integers(0, 2**16))
+    def test_one_call_equals_two_calls(self, kind, chunk, beta, nfe, sizes, ref_len, seed):
+        # the reference: each Euler step makes a conditional and an
+        # unconditional field call and combines them
+        rng = np.random.default_rng(seed)
+        model = STREAM_MODEL
+        spec = MaskSpec(kind, chunk=chunk)
+        tokens = [int(t) for t in rng.integers(0, SMALL.token_vocab, sum(sizes))]
+        cond = ConditionSet(rng.normal(size=SMALL.speaker_dim), tokens,
+                            FeatureSeq(rng.normal(size=(ref_len, SMALL.n_features))))
+        length = cfm.UPSAMPLE * len(tokens)
+        mask = build_mask(spec, length)
+        feats = model.token_conditions(tokens, mask)
+        x = cfm._frame_noise(seed, 0, length, SMALL.n_features)
+        grid = [cosine_schedule(k / nfe) for k in range(nfe + 1)]
+        for k in range(nfe):
+            state = Tensor(x)
+            vel = T.sub(T.scale(model.field(state, grid[k], cond, mask, token_feats=feats),
+                                1.0 + beta),
+                        T.scale(model.field(state, grid[k], cond, mask, unconditional=True),
+                                beta))
+            if k == 0:
+                guided = cfg_field(model, state, grid[k], cond, beta, mask)
+                assert guided.data.tobytes() == vel.data.tobytes()
+            x = x + (grid[k + 1] - grid[k]) * vel.data
+        offline = sample(model, cond, length, nfe=nfe, beta=beta, spec=spec, seed=seed)
+        assert offline.frames.tobytes() == x.tobytes()
+        if kind in (MaskKind.FULL_CAUSAL, MaskKind.CHUNK):
+            ends = np.cumsum(sizes)
+            parts = stream_generate(model, (tokens[e - n : e] for n, e in zip(sizes, ends)),
+                                    cond.v, cond.masked_ref, nfe=nfe, beta=beta,
+                                    spec=spec, seed=seed)
+            assert np.concatenate([p.frames for p in parts]).tobytes() == x.tobytes()
 
 
 class TestTrainingStep:
@@ -445,6 +500,33 @@ class TestStreaming:
         assert sum(len(p) for p in parts) == 30
         calls_per_row = 2 * 2 * config.n_estimator_blocks  # step x pass x block
         assert sum(rows) == calls_per_row * 30
+
+    @pytest.mark.parametrize("beta", [0.0, 0.7])
+    def test_one_field_call_per_euler_step(self, beta, monkeypatch):
+        # both CFG passes share one estimator call, and the stream keeps one
+        # [K, V] per (Euler step, estimator block) holding both passes' rows
+        calls, pairs = [], {}
+        field = CfmModel.field
+
+        def counting(self, *args, **kwargs):
+            calls.append(kwargs.get("guided", False))
+            for pair in kwargs.get("kv") or ():
+                pairs[id(pair)] = pair
+            return field(self, *args, **kwargs)
+
+        monkeypatch.setattr(CfmModel, "field", counting)
+        nfe, spec = 3, MaskSpec(MaskKind.CHUNK, chunk=4)
+        cond = conditions(np.random.default_rng(5), 10)
+        packages = stream_generate(STREAM_MODEL, ([t] for t in cond.tokens), cond.v,
+                                   cond.masked_ref, nfe=nfe, beta=beta, spec=spec)
+        first = next(packages)
+        assert calls == [beta > 0.0] * nfe
+        rest = list(packages)
+        assert len(calls) == nfe * (1 + len(rest))
+        frames = len(first) + sum(len(p) for p in rest)
+        assert len(pairs) == nfe * SMALL.n_estimator_blocks
+        passes = 2 if beta > 0.0 else 1
+        assert all(len(k) == len(v) == passes * frames for k, v in pairs.values())
 
     def test_emission_horizon_respects_lookahead(self):
         # frames 0-1 need token 0 plus look-ahead 2: final only once three
