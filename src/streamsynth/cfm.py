@@ -13,7 +13,7 @@ application; it trains and samples offline but does not stream.
 
 Classifier-free guidance runs its conditional and unconditional passes as
 one estimator call per Euler step, over both passes' rows stacked behind a
-block-diagonal attention mask.
+block-diagonal attention mask, planned once per integration.
 
 Streaming keeps state between chunks: an emitted frame is final at every
 Euler step, CFG pass and estimator block, so its keys and values there are
@@ -219,7 +219,9 @@ class CfmModel:
 
     def token_conditions(self, tokens: Sequence[int], mask: np.ndarray) -> Tensor:
         """Per-frame token features: conv, upsample, masked attention, plus a
-        direct copy of the upsampled embedding."""
+        direct copy of the upsampled embedding. ``mask`` is planned once for
+        all alignment blocks."""
+        mask = T.AttentionPlan(mask)
         emb = T.embedding_lookup(self.token_embed, tokens)
         conv = T.conv1d_right_padded(emb, self.conv_kernel, self.config.lookahead)
         feats = T.relu(self.token_proj(conv, row_stable=True))
@@ -229,34 +231,36 @@ class CfmModel:
             x = block(x, mask, row_stable=True)
         return T.concat_cols([x, T.take_rows(emb, up_ids)])
 
-    def field(self, state: Tensor, t: float, cond: ConditionSet, mask: np.ndarray,
+    def field(self, state: Tensor, t: float, cond: ConditionSet, mask,
               token_feats: Tensor | None = None, unconditional: bool = False,
               kv: list[list[np.ndarray]] | None = None, guided: bool = False) -> Tensor:
         """Estimated velocity for every frame of ``state`` at time ``t``.
 
-        ``state`` holds the last rows of the mask.shape[1] frames the mask
-        spans. Earlier frames enter only through ``kv``, one [K, V] per
-        estimator block (see :meth:`TransformerBlock.__call__`), and then
-        ``token_feats`` must cover just the rows of ``state``; without
-        ``kv`` they default to the token conditions under the conditional
-        pass's own mask, the first L rows and columns of ``mask``.
+        ``mask`` is a bool array or, planned once for all estimator blocks,
+        its :class:`~streamsynth.tensor.AttentionPlan`. ``state`` holds the
+        last rows of the mask.shape[1] frames the mask spans. Earlier frames
+        enter only through ``kv``, one [K, V] per estimator block (see
+        :meth:`TransformerBlock.__call__`), and then ``token_feats`` must
+        cover just the rows of ``state``; without ``kv`` they default to the
+        token conditions under the conditional pass's own mask, the first L
+        rows and columns of ``mask``.
 
-        With ``guided`` the call runs both CFG passes at once: the rows of
-        ``state`` conditional, then again unconditional (zero token
-        features, speaker and reference), and returns the 2L rows in that
-        order. ``mask`` then has those 2L rows over both passes' keys, and
-        each pass's frames count once in mask.shape[1]. No gradient reaches
-        ``state`` or the conditions through a guided call.
+        With ``unconditional`` every condition (token features, speaker and
+        reference) is zero. With ``guided`` the call runs both CFG passes at
+        once: the rows of ``state`` conditional, then again unconditional,
+        and returns the 2L rows in that order. ``mask`` then has those 2L
+        rows over both passes' keys, and each pass's frames count once in
+        mask.shape[1]. No gradient reaches ``state`` through unconditional
+        rows, nor ``state`` or the conditions through a guided call.
         """
         length = state.data.shape[0]
         start = mask.shape[1] // (2 if guided else 1) - length
         t_rows = Tensor(np.tile(_time_embedding(t, self.config.time_dim), (length, 1)))
-        width = self.cond_width + self.config.speaker_dim + self.config.n_features
         if unconditional:
-            inp = T.concat_cols([state, t_rows, Tensor(np.zeros((length, width)))])
+            inp = Tensor(self._blank_rows(state, t_rows))
         else:
             cond_feats = token_feats if token_feats is not None \
-                else self.token_conditions(cond.tokens, mask[:length, :length])
+                else self.token_conditions(cond.tokens, np.asarray(mask)[:length, :length])
             if cond_feats.data.shape[0] != length:
                 raise T.DimensionError("token conditions do not cover the state length")
             v_rows = Tensor(np.tile(cond.v, (length, 1)))
@@ -264,12 +268,18 @@ class CfmModel:
                                    self.config.n_features))
             inp = T.concat_cols([state, t_rows, cond_feats, v_rows, ref])
         if guided:  # then the unconditional pass: the same rows, conditions zeroed
-            blank = np.concatenate([inp.data[:, :-width], np.zeros((length, width))], axis=1)
-            inp = Tensor(np.concatenate([inp.data, blank]))
+            inp = Tensor(np.concatenate([inp.data, self._blank_rows(state, t_rows)]))
         x = T.relu(self.est_in(inp, row_stable=True))
         for b, block in enumerate(self.est_blocks):
             x = block(x, mask, row_stable=True, kv=None if kv is None else kv[b])
         return self.est_out(self.est_norm(x), row_stable=True)
+
+    def _blank_rows(self, state: Tensor, t_rows: Tensor) -> np.ndarray:
+        """Estimator input rows of the unconditional pass: ``state`` and the
+        time rows, then every condition column zero."""
+        width = self.cond_width + self.config.speaker_dim + self.config.n_features
+        return np.concatenate([state.data, t_rows.data, np.zeros((len(state.data), width))],
+                              axis=1)
 
 
 def _ref_rows(ref: np.ndarray, start: int, stop: int, n_features: int) -> np.ndarray:
@@ -307,7 +317,7 @@ def training_step(model: CfmModel, x1: FeatureSeq, cond_v: np.ndarray,
     ref[flags] = 0.0
     cond = ConditionSet(cond_v, list(tokens), FeatureSeq(ref), flags)
     spec = MaskSpec(list(MaskKind)[rng.integers(len(MaskKind))], chunk=chunk)
-    mask = build_mask(spec, length)
+    mask = T.AttentionPlan(build_mask(spec, length))
     uncond = bool(rng.uniform() < model.config.p_uncond)
 
     xt = Tensor(ot_path(x0, x1, t).frames)
@@ -320,28 +330,44 @@ def training_step(model: CfmModel, x1: FeatureSeq, cond_v: np.ndarray,
 
 
 def cfg_field(model: CfmModel, state: Tensor, t: float, cond: ConditionSet,
-              beta: float, mask: np.ndarray, token_feats: Tensor | None = None,
-              kv: list | None = None, keys: np.ndarray | None = None) -> Tensor:
+              beta: float, mask: np.ndarray, token_feats: Tensor | None = None) -> Tensor:
     """Guided field (1+beta)*conditional - beta*unconditional.
 
-    ``mask`` is one pass's mask, [L, n] for the L rows of ``state``. For
+    ``mask`` is one pass's mask, [L, L] for the L rows of ``state``. For
     ``beta > 0`` both passes are one :meth:`CfmModel.field` call over their
     rows stacked, under a mask block-diagonal over the two passes, so each
-    pass attends only to its own rows and keys; the estimator's row-stable
-    kernels give every row the bytes of two separate calls. ``kv`` then
-    holds both passes' keys of the frames before ``state``, one [K, V] per
-    estimator block. ``keys`` orders the key columns, the cached ones and
-    then those of ``state``'s rows, as indices into [conditional frames
-    0:n; unconditional frames 0:n]; without it they come in that order.
+    pass attends only to its own rows; the estimator's row-stable kernels
+    give every row the bytes of two separate calls. The streaming sampler
+    makes the same call against cached keys (see :func:`_integrate`).
     """
     _check_beta(beta)
+    return _guided_field(model, state, t, cond, beta, _estimator_plan(mask, beta), token_feats)
+
+
+def _estimator_plan(mask: np.ndarray, beta: float,
+                    keys: np.ndarray | None = None) -> T.AttentionPlan:
+    """The attention plan of the estimator call that :func:`cfg_field` makes
+    for one pass's [L, n] ``mask``: ``mask`` itself for ``beta == 0``, else
+    the stacked block-diagonal mask. ``keys`` orders its key columns, the
+    cached ones and then those of the L rows, as indices into [conditional
+    frames 0:n; unconditional frames 0:n]; without it they come in that
+    order."""
     if beta == 0.0:
-        return model.field(state, t, cond, mask, token_feats=token_feats, kv=kv)
-    length, n = state.data.shape[0], mask.shape[1]
+        return T.AttentionPlan(mask)
+    length, n = mask.shape
     stacked = np.zeros((2 * length, 2 * n), dtype=bool)
     stacked[:length, :n] = stacked[length:, n:] = mask
-    both = model.field(state, t, cond, stacked if keys is None else stacked[:, keys],
-                       token_feats=token_feats, kv=kv, guided=True).data
+    return T.AttentionPlan(stacked if keys is None else stacked[:, keys])
+
+
+def _guided_field(model: CfmModel, state: Tensor, t: float, cond: ConditionSet, beta: float,
+                  plan: T.AttentionPlan, token_feats: Tensor | None = None,
+                  kv: list | None = None) -> Tensor:
+    """:func:`cfg_field` under the plan :func:`_estimator_plan` made."""
+    if beta == 0.0:
+        return model.field(state, t, cond, plan, token_feats=token_feats, kv=kv)
+    length = state.data.shape[0]
+    both = model.field(state, t, cond, plan, token_feats=token_feats, kv=kv, guided=True).data
     return Tensor(both[:length] * (1.0 + beta) - both[length:] * beta)
 
 
@@ -373,18 +399,22 @@ def _integrate(model: CfmModel, cond: ConditionSet, edges: Sequence[int], nfe: i
     CFG passes, to which this call appends those of frames start:stop. The
     keys came in packages, frames a:b for each pair of ``edges``, each
     package's conditional keys before its unconditional ones.
+
+    The estimator's mask for the package, stacked over both passes and
+    key-ordered, and its attention plan are built once, and every Euler
+    step's estimator blocks reuse them.
     """
     start, stop = edges[-2:]
     mask = build_mask(spec, UPSAMPLE * len(cond.tokens))
     token_feats = Tensor(model.token_conditions(cond.tokens, mask).data[start:stop])
-    rows = mask[start:stop, :stop]
     keys = np.concatenate([np.r_[a:b, stop + a:stop + b] for a, b in zip(edges, edges[1:])])
+    plan = _estimator_plan(mask[start:stop, :stop], beta, keys)
     x = _frame_noise(seed, start, stop, model.config.n_features)
     grid = [cosine_schedule(k / nfe) for k in range(nfe + 1)]
     for k in range(nfe):
         state = Tensor(x)
-        vel = cfg_field(model, state, grid[k], cond, beta, rows, token_feats=token_feats,
-                        kv=cache[k] if cache else None, keys=keys)
+        vel = _guided_field(model, state, grid[k], cond, beta, plan, token_feats,
+                            cache[k] if cache else None)
         x = x + (grid[k + 1] - grid[k]) * vel.data
     return x
 
@@ -432,6 +462,7 @@ def stream_generate(model: CfmModel, token_chunks: Iterable[Sequence[int]],
     came (see :func:`_integrate`). Each package integrates only the frames
     it completed, ``done:safe``, once, against that state, which only
     grows. The token conditions are recomputed over all received tokens.
+    Each package plans its estimator mask once (see :func:`_integrate`).
     The state is nfe x n_estimator_blocks [K, V] pairs, each of
     [2 x done, hidden] float64 rows (one pass's rows under ``beta == 0``);
     at 192 frames and the default config (nfe 10, 3 blocks, hidden 24)

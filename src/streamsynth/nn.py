@@ -31,7 +31,7 @@ class Linear:
         self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor, row_stable: bool = False) -> Tensor:
-        return T.add_rowvec(T.matmul(x, self.w, row_stable=row_stable), self.b)
+        return T.matmul(x, self.w, row_stable=row_stable, bias=self.b)
 
     def parameters(self):
         return [self.w, self.b]
@@ -62,21 +62,27 @@ class TransformerBlock:
         self.fc1 = Linear(rng, dim, 4 * dim, std)
         self.fc2 = Linear(rng, 4 * dim, dim, std)
 
-    def __call__(self, x: Tensor, mask: np.ndarray, row_stable: bool = False,
+    def __call__(self, x: Tensor, mask, row_stable: bool = False,
                  kv: list[np.ndarray] | None = None) -> Tensor:
         """Apply the block to the rows of ``x``.
 
+        ``mask`` is a bool array or its :class:`~streamsynth.tensor.AttentionPlan`.
+        The queries, keys and values come from one :func:`~streamsynth.tensor.project`
+        call over ``wq``, ``wk`` and ``wv``, with the bytes and gradients of
+        three separate layer calls.
+
         ``kv`` is [K, V]: the key and value data of the rows that precede
         ``x``, so ``mask`` is [len(x), len(K) + len(x)]. The call appends the
-        keys and values of ``x`` to it. With ``kv`` no gradient reaches the
-        keys and values, so training passes none.
+        keys and values of ``x`` to it, checking only those rows finite.
+        With ``kv`` no gradient reaches the keys and values, so training
+        passes none.
         """
         h = self.ln1(x)
-        q, k, v = self.wq(h, row_stable), self.wk(h, row_stable), self.wv(h, row_stable)
+        q, k, v = T.project(h, [(layer.w, layer.b) for layer in (self.wq, self.wk, self.wv)],
+                            row_stable)
         if kv is not None:
-            kv[0] = np.concatenate([kv[0], k.data])
-            kv[1] = np.concatenate([kv[1], v.data])
-            k, v = Tensor(kv[0]), Tensor(kv[1])
+            k, v = T.append_rows(kv[0], k), T.append_rows(kv[1], v)
+            kv[0], kv[1] = k.data, v.data
         att = T.masked_attention(q, k, v, mask)
         x = T.add(x, self.wo(att, row_stable))
         h = self.ln2(x)

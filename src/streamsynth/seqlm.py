@@ -449,7 +449,7 @@ class ToyLM:
     def forward(self, ids: Sequence[int], row_stable: bool = False) -> Tensor:
         x = self._embed(ids, 0)
         length = len(ids)
-        mask = np.tril(np.ones((length, length), dtype=bool))
+        mask = T.AttentionPlan(np.tril(np.ones((length, length), dtype=bool)))
         for block in self.blocks:
             x = block(x, mask, row_stable)
         return self.head(self.ln_f(x), row_stable)
@@ -473,7 +473,7 @@ class ToyLM:
                         for _ in self.blocks]
         with T.suspend_tape():
             x = self._embed(new, start)
-            mask = np.tril(np.ones((len(new), len(ids)), dtype=bool), k=start)
+            mask = T.AttentionPlan(np.tril(np.ones((len(new), len(ids)), dtype=bool), k=start))
             for block, kv in zip(self.blocks, cache.kv):
                 x = block(x, mask, row_stable=True, kv=kv)
             last = Tensor(x.data[-1:])

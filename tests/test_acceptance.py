@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from gradcheck import check_gradients
 from streamsynth import cfm, dataio, fsq, latency, rl
 from streamsynth import tensor as T
 from streamsynth.cfm import (CfmConfig, CfmModel, ConditionSet, FeatureSeq, MaskKind,
@@ -131,7 +132,7 @@ def test_criterion_03_gradient_checks_every_trainable_module():
 
         codec = FsqCodec(FsqConfig(3, 1), hidden=5, rng=rng)
         h = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        err = T.check_gradients(
+        err = check_gradients(
             lambda: T.mean_all(T.abs_val(codec.quantize(h, straight_through=False)[1])),
             [h] + codec.parameters(), max_coords=40, rng=coords)
         worst["fsq-codec"] = max(worst.get("fsq-codec", 0.0), err)
@@ -141,8 +142,8 @@ def test_criterion_03_gradient_checks_every_trainable_module():
         lm.head.w.data += rng.normal(0, 0.05, lm.head.w.data.shape)
         seq = build_stream(vocab, [vocab.text_id(0), vocab.text_id(2)],
                            [1, 4, 7, 2, 5, 8], InterleaveConfig(2, 3))
-        err = T.check_gradients(lambda: sequence_loss(lm, [seq]),
-                                lm.parameters(), max_coords=25, rng=coords)
+        err = check_gradients(lambda: sequence_loss(lm, [seq]),
+                              lm.parameters(), max_coords=25, rng=coords)
         worst["seqlm-toylm"] = max(worst.get("seqlm-toylm", 0.0), err)
 
         ccfg = CfmConfig(n_features=3, token_vocab=12, token_embed=4, hidden=8,
@@ -155,8 +156,8 @@ def test_criterion_03_gradient_checks_every_trainable_module():
             return training_step(cmodel, x1, v, [3, 5, 7],
                                  np.random.default_rng(50 + seed), chunk=4)
 
-        err = T.check_gradients(cfm_loss, cmodel.parameters(), max_coords=25,
-                                rng=coords)
+        err = check_gradients(cfm_loss, cmodel.parameters(), max_coords=25,
+                              rng=coords)
         worst["cfm-model"] = max(worst.get("cfm-model", 0.0), err)
 
         asr_codec = FsqCodec(FsqConfig(3, 1), hidden=6, rng=rng)
@@ -166,8 +167,8 @@ def test_criterion_03_gradient_checks_every_trainable_module():
             logits = asr.text_logits([1, 4, 7, 2, 5, 8])
             return T.cross_entropy_ignore(logits, [0, 2], [False, False])
 
-        err = T.check_gradients(asr_loss, asr.parameters(), max_coords=40,
-                                rng=coords)
+        err = check_gradients(asr_loss, asr.parameters(), max_coords=40,
+                              rng=coords)
         worst["rl-asr-backend"] = max(worst.get("rl-asr-backend", 0.0), err)
 
     elapsed = time.perf_counter() - start

@@ -1,9 +1,13 @@
+import functools
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from streamsynth import rl
+from gradcheck import check_gradients
+from streamsynth import cfm, rl, seqlm
 from streamsynth import tensor as T
 from streamsynth.checkpoint import (CheckpointError, load_checkpoint, save_checkpoint)
 from streamsynth.nn import Adam, Linear, TransformerBlock, param_fingerprint
@@ -80,11 +84,54 @@ class TestBlocks:
         block = TransformerBlock(rng, dim=6, std=0.1)
         x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
         mask = np.tril(np.ones((4, 4), dtype=bool))
-        err = T.check_gradients(
+        err = check_gradients(
             lambda: T.mean_all(T.abs_val(block(x, mask))),
             [x] + block.parameters(), max_coords=40,
             rng=np.random.default_rng(seed))
         assert err < 1e-4
+
+    @given(st.integers(1, 400), st.sampled_from([24, 48]), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_fused_qkv_bytes_equal_separate_layers(self, rows, dim, row_stable, seed):
+        # one project() call against three layer calls, both as the one-node
+        # Linear and as a product followed by add_rowvec: the same forward
+        # bytes, and after backward the same gradients into h, w and b
+        rng = np.random.default_rng(seed)
+        layers = [Linear(rng, dim, dim, std=0.3) for _ in range(3)]
+        for layer in layers:
+            layer.b.data[:] = rng.normal(size=dim)
+        h = Tensor(rng.normal(size=(rows, dim)), requires_grad=True)
+        weights = [Tensor(rng.normal(size=(rows, dim))) for _ in range(3)]
+        separate = {
+            "fused": lambda: T.project(h, [(lay.w, lay.b) for lay in layers], row_stable),
+            "linear": lambda: [lay(h, row_stable) for lay in layers],
+            "two-node": lambda: [T.add_rowvec(T.matmul(h, lay.w, row_stable), lay.b)
+                                 for lay in layers],
+        }
+        results = {}
+        for name, run in separate.items():
+            params = [h] + [p for lay in layers for p in lay.parameters()]
+            for p in params:
+                p.zero_grad()
+            with Tape() as tape:
+                outs = run()
+                loss = functools.reduce(T.add, (T.sum_all(T.mul(o, w))
+                                                for o, w in zip(outs, weights)))
+            tape.backward(loss)
+            results[name] = [o.data.tobytes() for o in outs] + [p.grad.tobytes() for p in params]
+        assert results["fused"] == results["linear"] == results["two-node"]
+
+    def test_non_finite_appended_kv_row_raises(self):
+        rng = np.random.default_rng(0)
+        block = TransformerBlock(rng, dim=6)
+        kv = [np.zeros((0, 6)), np.zeros((0, 6))]
+        block(Tensor(rng.normal(size=(3, 6))), np.tril(np.ones((3, 3), dtype=bool)), kv=kv)
+        cached = [a.copy() for a in kv]
+        block.wv.b.data[2] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            block(Tensor(rng.normal(size=(1, 6))), np.ones((1, 4), dtype=bool), kv=kv)
+        assert all(a.tobytes() == c.tobytes() for a, c in zip(kv, cached))
 
     def test_linear_zero_init(self):
         rng = np.random.default_rng(0)
@@ -98,6 +145,49 @@ class TestBlocks:
         fp = param_fingerprint(layer.parameters())
         layer.w.data[0, 0] += 1.0
         assert param_fingerprint(layer.parameters()) != fp
+
+
+class TestWorkCounts:
+    """Primitive outputs (``tensor._result`` calls) and product kernel calls
+    (``tensor._product``) per cached LM token and per guided field call: a
+    block makes one product for q, k and v, and a layer's bias rides in its
+    product."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"_result": 0, "_product": 0}
+        for name in calls:
+            def counting(*args, _fn=getattr(T, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(T, name, counting)
+        return calls
+
+    def test_cached_lm_token(self, counts):
+        lm = seqlm.ToyLM(seqlm.Vocabulary(speech_size=20, text_size=6), dim=8, n_blocks=2)
+        cache = seqlm.LmCache()
+        lm.logits_last([1, 2, 3], cache)
+        counts.update(_result=0, _product=0)
+        lm.logits_last([1, 2, 3, 4], cache)
+        # embeddings 3; per block: 2 norms, 3 projections, 2 cache rows,
+        # attention, 3 layers, silu, 2 residual adds; final norm and head
+        assert counts == {"_result": 3 + 2 * 14 + 2, "_product": 2 * 4 + 1}
+
+    def test_guided_field_call(self, counts):
+        config = cfm.CfmConfig(n_features=4, token_vocab=40, token_embed=6, hidden=10,
+                               speaker_dim=4, lookahead=2, n_estimator_blocks=3)
+        model = cfm.CfmModel(config, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        cond = cfm.ConditionSet(rng.normal(size=4), [1, 5, 9, 2],
+                                cfm.FeatureSeq(np.zeros((0, 4))))
+        mask = cfm.build_mask(cfm.MaskSpec(cfm.MaskKind.CHUNK, chunk=4), 8)
+        feats = model.token_conditions(cond.tokens, mask)
+        counts.update(_result=0, _product=0)
+        cfm.cfg_field(model, Tensor(rng.normal(size=(8, 4))), 0.3, cond, 0.7, mask,
+                      token_feats=feats)
+        # input concat, est_in, relu; per block 12 as in the LM without a
+        # cache; final norm and est_out
+        assert counts == {"_result": 3 + 3 * 12 + 2, "_product": 1 + 3 * 4 + 1}
 
 
 class TestCheckpointFormat:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradcheck import check_gradients
 from streamsynth import tensor as T
 from streamsynth.cfm import MaskKind, MaskSpec, build_mask
 from streamsynth.nn import Adam, Linear, TransformerBlock
@@ -39,7 +40,7 @@ class TestElementwise:
         a, b = (rand(rng, *shape) for shape in shapes)
         weights = Tensor(rng.normal(size=(3, 4)))
         fn = getattr(T, op)
-        err = T.check_gradients(lambda: T.sum_all(T.mul(fn(a, b), weights)), [a, b])
+        err = check_gradients(lambda: T.sum_all(T.mul(fn(a, b), weights)), [a, b])
         assert err < 1e-6
 
     def test_scale_and_abs_gradients(self):
@@ -49,7 +50,7 @@ class TestElementwise:
                    requires_grad=True)
         weights = Tensor(rng.normal(size=(3, 4)))
         for fn in (lambda: T.scale(x, -1.7), lambda: T.abs_val(x)):
-            err = T.check_gradients(lambda: T.sum_all(T.mul(fn(), weights)), [x])
+            err = check_gradients(lambda: T.sum_all(T.mul(fn(), weights)), [x])
             assert err < 1e-6
 
     def test_no_broadcasting_beyond_scalar(self):
@@ -93,8 +94,12 @@ class TestMatmul:
         rng = np.random.default_rng(seed)
         a = rand(rng, 4, 5)
         b = rand(rng, 5, 2)
-        err = T.check_gradients(lambda: T.sum_all(T.matmul(a, b)), [a, b])
+        err = check_gradients(lambda: T.sum_all(T.matmul(a, b)), [a, b])
         assert err < 1e-6
+
+    def test_bias_shape_checked(self):
+        with pytest.raises(T.DimensionError, match="bias shape"):
+            T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), bias=Tensor(np.ones(3)))
 
     def test_row_stable_prefix(self):
         rng = np.random.default_rng(3)
@@ -122,18 +127,18 @@ class TestActivationsSoftmax:
     def test_activation_gradients(self, op, seed):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.normal(size=(3, 4)) + 0.05, requires_grad=True)
-        err = T.check_gradients(lambda: T.mean_all(T.activation(x, op)), [x])
+        err = check_gradients(lambda: T.mean_all(T.activation(x, op)), [x])
         assert err < 1e-4
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_softmax_softplus_gradients(self, seed):
         rng = np.random.default_rng(seed)
         x = rand(rng, 3, 5)
-        err = T.check_gradients(
+        err = check_gradients(
             lambda: T.mean_all(T.mul(T.softmax(x), T.softmax(x))), [x])
         assert err < 1e-4
         y = rand(rng, 4)
-        assert T.check_gradients(lambda: T.mean_all(T.softplus(y)), [y]) < 1e-4
+        assert check_gradients(lambda: T.mean_all(T.softplus(y)), [y]) < 1e-4
 
 
 class TestLayerNormEmbeddingConcat:
@@ -141,7 +146,7 @@ class TestLayerNormEmbeddingConcat:
     def test_layer_norm_gradients(self, seed):
         rng = np.random.default_rng(seed)
         x, g, b = rand(rng, 5, 6), rand(rng, 6), rand(rng, 6)
-        err = T.check_gradients(
+        err = check_gradients(
             lambda: T.mean_all(T.mul(T.layer_norm(x, g, b), T.layer_norm(x, g, b))),
             [x, g, b])
         assert err < 1e-4
@@ -170,7 +175,7 @@ class TestLayerNormEmbeddingConcat:
         cat = T.concat_cols([a, b])
         assert np.array_equal(T.slice_cols(cat, 0, 2).data, a.data)
         assert np.array_equal(T.slice_cols(cat, 2, 5).data, b.data)
-        err = T.check_gradients(
+        err = check_gradients(
             lambda: T.mean_all(T.abs_val(T.slice_cols(T.concat_cols([a, b]), 1, 4))),
             [a, b])
         assert err < 1e-4
@@ -204,7 +209,7 @@ class TestConv:
         rng = np.random.default_rng(seed)
         x = rand(rng, 8, 3)
         k = rand(rng, 4)
-        err = T.check_gradients(
+        err = check_gradients(
             lambda: T.mean_all(T.mul(T.conv1d_right_padded(x, k, 3),
                                      T.conv1d_right_padded(x, k, 3))), [x, k])
         assert err < 1e-4
@@ -241,7 +246,7 @@ class TestCrossEntropy:
     def test_gradients(self, seed):
         rng = np.random.default_rng(seed)
         logits = rand(rng, 5, 6)
-        err = T.check_gradients(
+        err = check_gradients(
             lambda: T.cross_entropy_ignore(logits, [0, 1, 2, 3, 4],
                                            [False, True, False, True, False]),
             [logits])
@@ -311,6 +316,43 @@ class TestMaskedAttention:
         with pytest.raises(T.MaskedRowError, match=rf"row {first} has"):
             T.masked_attention(x, x, x, mask)
 
+    @given(st.sampled_from(["build", "random"]), st.sampled_from(list(MaskKind)),
+           st.integers(1, 6), st.integers(1, 40), st.integers(0, 39), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_reused_plan_equals_fresh_mask(self, pattern, kind, chunk, length, start, seed):
+        # one plan handed to several calls gives each call the bytes of a
+        # call that plans its bool mask afresh, forward and backward
+        rng = np.random.default_rng(seed)
+        if pattern == "build":
+            mask = build_mask(MaskSpec(kind, chunk), length)
+        else:
+            mask = rng.uniform(size=(length, length)) < 0.5
+            mask[np.arange(length), rng.integers(0, length, length)] = True
+        mask = mask[start % length:]
+        plan = T.AttentionPlan(mask)
+        mask_copy = mask.copy()
+        mask[:] = ~mask  # the plan keeps its own copy: no later edit makes it stale
+        assert not plan.mask.flags.writeable
+        assert np.array_equal(np.asarray(plan), mask_copy)
+        for _ in range(2):
+            q, k, v = (rand(rng, n, 3) for n in (mask.shape[0], length, length))
+            g = rng.normal(size=q.shape)
+            results = []
+            for m in (plan, mask_copy):
+                for t in (q, k, v):
+                    t.zero_grad()
+                with Tape() as tape:
+                    loss = T.sum_all(T.mul(T.masked_attention(q, k, v, m), Tensor(g)))
+                tape.backward(loss)
+                results.append([loss.data.tobytes()] + [t.grad.tobytes() for t in (q, k, v)])
+            assert results[0] == results[1]
+
+    def test_plan_raises_for_empty_row(self):
+        mask = build_mask(MaskSpec(MaskKind.CHUNK, 2), 6)
+        mask[3] = False
+        with pytest.raises(T.MaskedRowError, match="row 3 has"):
+            T.AttentionPlan(mask)
+
     def test_identity_mask_returns_values(self):
         rng = np.random.default_rng(0)
         q, k, v = (Tensor(rng.normal(size=(5, 3))) for _ in range(3))
@@ -357,7 +399,7 @@ class TestMaskedAttention:
         rng = np.random.default_rng(4)
         q, k, v = rand(rng, 3, 4), rand(rng, 6, 4), rand(rng, 6, 4)
         mask = np.tril(np.ones((6, 6), dtype=bool))[3:]
-        err = T.check_gradients(
+        err = check_gradients(
             lambda: T.mean_all(T.abs_val(T.masked_attention(q, k, v, mask))),
             [q, k, v])
         assert err < 1e-4
@@ -373,7 +415,7 @@ class TestMaskedAttention:
         q, k, v = rand(rng, 5, 4), rand(rng, 5, 4), rand(rng, 5, 4)
         mask = rng.uniform(size=(5, 5)) < 0.7
         mask[np.arange(5), np.arange(5)] = True
-        err = T.check_gradients(
+        err = check_gradients(
             lambda: T.mean_all(T.abs_val(T.masked_attention(q, k, v, mask))),
             [q, k, v])
         assert err < 1e-4
@@ -400,6 +442,9 @@ MULTI_INPUT_OPS = {
                                 T.mul),
     "matmul": lambda rng, variant: ([rng.normal(size=(3, 4)), rng.normal(size=(4, 2))],
                                    lambda a, b: T.matmul(a, b, row_stable=variant)),
+    "matmul_bias": lambda rng, variant: (
+        [rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)],
+        lambda a, b, c: T.matmul(a, b, row_stable=variant, bias=c)),
     "layer_norm": lambda rng, variant: ([rng.normal(size=(3, 5)), rng.normal(size=5),
                                         rng.normal(size=5)], T.layer_norm),
     "conv1d_right_padded": lambda rng, variant: (
@@ -487,6 +532,18 @@ class TestTapeSemantics:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_first_gradient_is_a_positive_zero_copy(self):
+        # the first gradient is stored as g + 0.0: -0.0 turns into +0.0, as
+        # adding into zeros did, and the stored array is not g itself
+        x = Tensor(np.ones(3), requires_grad=True)
+        g = np.array([-0.0, 1.5, -2.0])
+        x.accumulate_grad(g)
+        assert x.grad.tobytes() == np.array([0.0, 1.5, -2.0]).tobytes()
+        g[:] = 7.0
+        assert x.grad.tobytes() == np.array([0.0, 1.5, -2.0]).tobytes()
+        x.accumulate_grad(np.array([-0.0, 0.5, 2.0]))
+        assert x.grad.tobytes() == np.array([0.0, 2.0, 0.0]).tobytes()
 
     def test_grad_accumulates_over_reuse(self):
         x = Tensor([2.0], requires_grad=True)
