@@ -30,6 +30,7 @@ __all__ = [
     "bounded_round",
     "encode_index",
     "decode_index",
+    "decode_indices",
     "utilization",
     "train_toy_tokenizer",
     "write_token_file",
@@ -88,22 +89,24 @@ def encode_index(digits: Sequence[int], k: int) -> int:
     return mu
 
 
-def decode_index(mu: int, d: int, k: int) -> np.ndarray:
+def decode_indices(tokens: Sequence[int], d: int, k: int) -> np.ndarray:
+    """[n, d] int64 digit rows in [-k, k] of the n ``tokens``; the inverse of
+    :func:`encode_index`."""
     base = 2 * k + 1
-    if mu < 0 or mu >= base**d:
-        raise RangeError(f"token {mu} outside [0, {base ** d - 1}]")
-    digits = np.empty(d, dtype=np.int64)
-    for j in range(d):
-        digits[j] = (mu // base**j) % base - k
-    return digits
+    mu = np.asarray(tokens).reshape(-1)
+    bad = (mu < 0) | (mu >= base**d)
+    if bad.any():
+        raise RangeError(f"token {mu[bad.argmax()]} outside [0, {base ** d - 1}]")
+    return mu.astype(np.int64)[:, None] // base ** np.arange(d) % base - k
+
+
+def decode_index(mu: int, d: int, k: int) -> np.ndarray:
+    return decode_indices([mu], d, k)[0]
 
 
 def digit_table(config: FsqConfig) -> np.ndarray:
     """[codebook_size, D] array mapping every token to its digit vector."""
-    out = np.empty((config.codebook_size, config.d), dtype=np.float64)
-    for mu in range(config.codebook_size):
-        out[mu] = decode_index(mu, config.d, config.k)
-    return out
+    return decode_indices(np.arange(config.codebook_size), config.d, config.k).astype(np.float64)
 
 
 class FsqCodec:

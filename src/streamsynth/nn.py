@@ -108,18 +108,38 @@ class Adam:
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
+        """Update every parameter that has a gradient, in place.
+
+        The operations and their order are those of
+        ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
+        ``p -= lr (m / b1t) / (sqrt(v / b2t) + eps)``, with only products
+        commuted, which is exact. Their intermediates go into two scratch
+        buffers that the step allocates once, at the size of the largest
+        parameter, and shares among all of them.
+        """
         self.t += 1
         b1t = 1.0 - self.b1**self.t
         b2t = 1.0 - self.b2**self.t
+        scratch = np.empty((2, max((p.data.size for p in self.params), default=0)))
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
             g = p.grad
+            num = scratch[0, :m.size].reshape(m.shape)
+            den = scratch[1, :m.size].reshape(m.shape)
             m *= self.b1
-            m += (1.0 - self.b1) * g
+            m += np.multiply(g, 1.0 - self.b1, out=num)
             v *= self.b2
-            v += (1.0 - self.b2) * (g * g)
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            np.multiply(g, g, out=den)
+            den *= 1.0 - self.b2
+            v += den
+            np.divide(v, b2t, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            np.divide(m, b1t, out=num)
+            num *= self.lr
+            num /= den
+            p.data -= num
 
     def zero_grad(self) -> None:
         for p in self.params:

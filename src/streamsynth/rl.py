@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .fsq import FsqCodec, decode_index, digit_table
+from .fsq import FsqCodec, decode_indices, digit_table
 from .nn import Adam, Linear, param_fingerprint
 from .seqlm import (InterleaveConfig, ToyLM, Vocabulary, build_icl_prompt,
                     build_nonstream, generate, top_k_sampler)
@@ -71,8 +71,7 @@ def dpo_loss(logp_w_theta, logp_l_theta, logp_w_ref, logp_l_ref,
 
 def recover_digits(tokens: Sequence[int], d: int, k: int) -> np.ndarray:
     """Digit rows in [-k, k] for every token, shape [n, d]."""
-    return np.stack([decode_index(int(mu), d, k) for mu in tokens]) if len(tokens) \
-        else np.zeros((0, d), dtype=np.int64)
+    return decode_indices(tokens, d, k)
 
 
 def recover_lowrank(codec: FsqCodec, tokens: Sequence[int]):

@@ -473,7 +473,9 @@ class ToyLM:
                         for _ in self.blocks]
         with T.suspend_tape():
             x = self._embed(new, start)
-            mask = T.AttentionPlan(np.tril(np.ones((len(new), len(ids)), dtype=bool), k=start))
+            # a single new row sees every id: its causal mask is all ones
+            allowed = np.ones((len(new), len(ids)), dtype=bool)
+            mask = T.AttentionPlan(allowed if len(new) == 1 else np.tril(allowed, k=start))
             for block, kv in zip(self.blocks, cache.kv):
                 x = block(x, mask, row_stable=True, kv=kv)
             last = Tensor(x.data[-1:])

@@ -14,12 +14,13 @@ import itertools
 import math
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "Tensor",
+    "RowGrad",
     "Tape",
     "suspend_tape",
     "DimensionError",
@@ -73,6 +74,14 @@ class MaskedRowError(ValueError):
     """An attention row has no allowed positions."""
 
 
+class RowGrad(NamedTuple):
+    """A gradient that is zero outside ``rows``, distinct row indices in
+    ascending order; ``vals[i]`` is the gradient of row ``rows[i]``."""
+
+    rows: np.ndarray
+    vals: np.ndarray
+
+
 class Tensor:
     """A dense float64 array with an optional gradient buffer."""
 
@@ -98,17 +107,31 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if g.shape != self.data.shape:
+    def accumulate_grad(self, g: np.ndarray | RowGrad) -> None:
+        """Add ``g`` into ``grad``; a :class:`RowGrad` only into its rows.
+
+        A first gradient is stored as one fresh array, not an alias of ``g``,
+        with ``+ 0.0`` turning ``-0.0`` into ``+0.0``, as adding ``g`` into
+        zeros would. So a stored gradient never holds ``-0.0`` (a sum is
+        ``-0.0`` only when both terms are), and leaving a row out of an add
+        gives the bytes of adding its zeros.
+        """
+        rows, vals = g if isinstance(g, RowGrad) else (None, g)
+        shape = self.data.shape if rows is None else (rows.size, *self.data.shape[1:])
+        if vals.shape != shape:
             raise DimensionError(
-                f"gradient shape {g.shape} != tensor shape {self.data.shape}"
+                f"gradient shape {vals.shape} != tensor shape {shape}"
             )
-        if self.grad is None:
-            # one fresh array, not an alias of g; + 0.0 turns -0.0 into +0.0,
-            # as adding g into zeros would
-            self.grad = g + 0.0
+        if rows is None:
+            if self.grad is None:
+                self.grad = vals + 0.0
+            else:
+                self.grad += vals
+        elif self.grad is None:
+            self.grad = np.zeros_like(self.data)
+            self.grad[rows] = vals + 0.0
         else:
-            self.grad += g
+            self.grad[rows] += vals
 
     def __repr__(self) -> str:
         req = ", requires_grad=True" if self.requires_grad else ""
@@ -178,10 +201,10 @@ def suspend_tape() -> Iterator[None]:
 
 
 def _result(data: np.ndarray,
-            *grads: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+            *grads: tuple[Tensor, Callable[[np.ndarray], np.ndarray | RowGrad]]) -> Tensor:
     """Wrap ``data`` as the output of a primitive with one ``(input, fn)``
     pair per input, where ``fn(g)`` is that input's gradient given the
-    output's gradient ``g``.
+    output's gradient ``g``, dense or a :class:`RowGrad`.
 
     This is the one place that applies the gradient rule: under an active
     tape, with some input requiring a gradient, the output is recorded, and
@@ -255,9 +278,15 @@ def _product(a: np.ndarray, b: np.ndarray, row_stable: bool) -> np.ndarray:
         raise DimensionError("matmul expects 2-D operands")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner extents {a.shape} x {b.shape}")
-    if row_stable:
-        return np.einsum("lk,kn->ln", a, b, optimize=False)
-    return a @ b
+    if not row_stable:
+        return a @ b
+    # einsum adds the products into each output in k order when its inner
+    # loop runs along a row of b; with one column, or a column-major b, the
+    # loop runs along k instead, through a dot kernel that sums in another
+    # order. A C-contiguous b with a zero second column keeps it on the row.
+    if b.shape[1] == 1:
+        return _product(a, np.concatenate([b, np.zeros_like(b)], axis=1), True)[:, :1].copy()
+    return np.einsum("lk,kn->ln", a, np.ascontiguousarray(b), optimize=False)
 
 
 def _linear(x: Tensor, w: Tensor, b: Tensor | None, data: np.ndarray) -> Tensor:
@@ -274,6 +303,9 @@ def matmul(a: Tensor, b: Tensor, row_stable: bool = False,
     results do not depend on the number of rows, so computing a prefix of
     ``a`` reproduces the corresponding prefix of the full product bit for
     bit. Needed wherever streaming reruns must match offline runs exactly.
+    That kernel computes every output, at every shape, as the explicit sum
+    ``acc = 0.0; for k: acc += a[l, k] * b[k, n]``: in ``k`` order, from
+    ``+0.0``, each product rounded before it is added.
 
     The bias is added inside the one primitive, with gradient ``g.sum(0)``;
     ``a`` and ``b`` get ``g @ b.T`` and ``a.T @ g``. These are the bytes of
@@ -386,12 +418,23 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
         raise DimensionError("embedding table must be 2-D")
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise IndexError("embedding id out of range")
-    data = table.data[idx].copy()
+    data = table.data[idx]
 
-    def grad_table(g: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(table.data)
-        np.add.at(acc, idx, g)
-        return acc
+    def grad_table(g: np.ndarray) -> RowGrad:
+        # the touched rows, ascending, and each id's place among them
+        seen = np.zeros(table.data.shape[0], dtype=bool)
+        seen[idx] = True
+        rows = seen.nonzero()[0]
+        place = np.empty(seen.size, dtype=np.intp)
+        place[rows] = np.arange(rows.size)
+        # each touched row sums its ids' rows of g in id order, from +0.0, as
+        # a scatter into a zeroed table does; np.add.at takes its fast path
+        # over flat indices
+        f = g.shape[1]
+        vals = np.zeros((rows.size, f))
+        np.add.at(vals.reshape(-1), (place[idx][:, None] * f + np.arange(f)).reshape(-1),
+                  g.reshape(-1))
+        return RowGrad(rows, vals)
 
     return _result(data, (table, grad_table))
 
@@ -522,7 +565,16 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask) -> Tensor:
     ``[n, F, 1]`` and ``[n, 1, W]`` operands), for which numpy calls the
     same BLAS matrix-vector kernel once per row that a row-by-row loop calls,
     so a row's bytes do not depend on its group. ``Q @ K.T`` or ``einsum``
-    would run a matrix-matrix kernel whose sums round differently.
+    would run a matrix-matrix kernel whose sums round differently. The
+    gradients of ``q`` and of the scores are computed the same way.
+
+    The gradients of ``k`` and ``v`` are each one row-stable product over
+    the query rows: an [Lk, Lq] matrix holds every row's score gradients
+    (for ``v``, its probabilities) at its window's keys and is zero
+    elsewhere. That kernel adds a key's terms in row order from ``+0.0``, as
+    a loop that adds each row's outer product into the window does, and a
+    zero entry adds ``±0.0``, which changes no such sum, so the bytes are
+    those of the row loop.
     """
     if q.data.ndim != 2 or k.data.ndim != 2 or k.data.shape != v.data.shape \
             or q.data.shape[1] != k.data.shape[1]:
@@ -564,21 +616,19 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask) -> Tensor:
             qg[lo:hi] = np.matmul(gs[:, None, :], k.data[idx][None])[:, 0] * inv_scale
         return qg
 
-    # the outer products are exact; adding them into the window one row at
-    # a time, in row order, keeps the float sums of a row loop
+    def by_key(parts: Iterable[np.ndarray]) -> np.ndarray:
+        """[Lk, Lq], zero outside the mask; the mask's allowed pairs, in
+        row-major order, take each group's [hi - lo, W] part row by row."""
+        out = np.zeros((length, k.data.shape[0]))
+        out[plan.mask] = np.concatenate([part.ravel() for part in parts])
+        return out.T
+
     def grad_k(g: np.ndarray) -> np.ndarray:
-        kg = np.zeros_like(k.data)
-        for (lo, hi, idx, _), gs in zip(groups, handed.pop() if handed else score_grads(g)):
-            for term in gs[:, :, None] * (q.data[lo:hi] * inv_scale)[:, None, :]:
-                kg[idx] += term
-        return kg
+        gss = handed.pop() if handed else score_grads(g)
+        return _product(by_key(gss), q.data * inv_scale, True)
 
     def grad_v(g: np.ndarray) -> np.ndarray:
-        vg = np.zeros_like(v.data)
-        for lo, hi, idx, p in groups:
-            for term in p[:, :, None] * g[lo:hi, None, :]:
-                vg[idx] += term
-        return vg
+        return _product(by_key(p for *_, p in groups), g, True)
 
     return _result(data, (q, grad_q), (k, grad_k), (v, grad_v))
 

@@ -1,5 +1,6 @@
 import functools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,50 @@ class TestAdam:
             for p, q in zip(params_a, params_b):
                 assert p.data.tobytes() == q.data.tobytes()
                 assert p.grad.tobytes() == q.grad.tobytes()
+
+    def test_step_equals_textbook_formula_bytes(self):
+        # 50 steps over a matrix, a vector, a 0-d parameter and one whose
+        # gradient is sometimes None, against the formula written out
+        rng = np.random.default_rng(3)
+        shapes = [(30, 7), (7,), (), (4, 2)]
+        params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        opt = Adam(params, lr=0.01)
+        want = [p.data.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        b1, b2, eps, lr = Adam.b1, Adam.b2, Adam.eps, 0.01
+        for t in range(1, 51):
+            for i, p in enumerate(params):
+                p.grad = None if i == 3 and t % 3 else rng.normal(size=shapes[i]) + 0.0
+            opt.step()
+            for i, p in enumerate(params):
+                g = p.grad
+                if g is None:
+                    continue
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+                want[i] = want[i] - lr * (m[i] / (1.0 - b1**t)) \
+                    / (np.sqrt(v[i] / (1.0 - b2**t)) + eps)
+            for p, w in zip(params, want):
+                assert p.data.tobytes() == np.asarray(w).tobytes()
+
+    def test_step_allocates_no_temporary_per_parameter(self):
+        # a step's working memory is its two scratch buffers the size of the
+        # largest parameter, whatever the number of parameters
+        rng = np.random.default_rng(4)
+        params = [Tensor(rng.normal(size=s), requires_grad=True)
+                  for s in [(200, 50), (200, 50), (50,), (3, 3), ()]]
+        opt = Adam(params, lr=0.01)
+        for p in params:
+            p.grad = rng.normal(size=p.data.shape) + 0.0
+        opt.step()
+        tracemalloc.start()
+        try:
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * params[0].data.nbytes + 4096
 
     def test_clip_grads_to_max_norm(self):
         a = Tensor(np.zeros(2), requires_grad=True)
@@ -172,6 +217,18 @@ class TestWorkCounts:
         # embeddings 3; per block: 2 norms, 3 projections, 2 cache rows,
         # attention, 3 layers, silu, 2 residual adds; final norm and head
         assert counts == {"_result": 3 + 2 * 14 + 2, "_product": 2 * 4 + 1}
+
+    def test_attention_backward(self, counts):
+        # the gradients of k and of v are one product each, whatever the
+        # number of rows
+        rng = np.random.default_rng(0)
+        block = TransformerBlock(rng, 8)
+        x = Tensor(rng.normal(size=(12, 8)), requires_grad=True)
+        with Tape() as tape:
+            loss = T.sum_all(block(x, np.tril(np.ones((12, 12), dtype=bool))))
+        counts.update(_result=0, _product=0)
+        tape.backward(loss)
+        assert counts == {"_result": 0, "_product": 2}
 
     def test_guided_field_call(self, counts):
         config = cfm.CfmConfig(n_features=4, token_vocab=40, token_embed=6, hidden=10,

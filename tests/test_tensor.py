@@ -1,5 +1,6 @@
 import gc
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,28 @@ class TestMatmul:
         with pytest.raises(T.DimensionError, match="bias shape"):
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), bias=Tensor(np.ones(3)))
 
+    @pytest.mark.parametrize("layout", ["c", "column_block", "fortran"])
+    def test_row_stable_is_in_order_sum(self, layout):
+        # every output of the row-stable kernel is the sum over k in order,
+        # from +0.0, for every shape, one column included, and any layout
+        rng = np.random.default_rng(5)
+        for rows, inner, cols in itertools.product((1, 2, 3, 7, 40, 100),
+                                                   (1, 2, 5, 17, 48, 100),
+                                                   (1, 2, 3, 24, 48)):
+            a = rng.normal(size=(rows, inner))
+            a[rng.uniform(size=a.shape) < 0.3] = -0.0
+            b = rng.normal(size=(inner, cols))
+            want = np.zeros((rows, cols))
+            for k in range(inner):
+                want += a[:, k:k + 1] * b[k]
+            if layout == "column_block":
+                a = np.concatenate([a, a], axis=1)[:, inner:]
+                b = np.concatenate([b, b], axis=1)[:, cols:]
+            elif layout == "fortran":
+                a, b = np.asfortranarray(a), np.asfortranarray(b)
+            got = T.matmul(Tensor(a), Tensor(b), row_stable=True).data
+            assert got.tobytes() == want.tobytes(), (rows, inner, cols)
+
     def test_row_stable_prefix(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(37, 12)))
@@ -164,6 +187,49 @@ class TestLayerNormEmbeddingConcat:
         expected[2] = 2.0
         expected[5] = 1.0
         assert np.array_equal(table.grad, expected)
+
+    @given(st.integers(1, 30), st.lists(st.integers(0, 29), max_size=40),
+           st.sampled_from(["leaf", "take_rows"]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_row_gradient_equals_dense_scatter(self, rows, ids, kind, seed):
+        # two lookups: the first accumulation and a later one, each equal to
+        # adding a zeroed table scattered with np.add.at; g holds -0.0
+        rng = np.random.default_rng(seed)
+        ids = [i % rows for i in ids]
+        base = rand(rng, rows, 4)
+        gs = [rng.normal(size=(len(ids), 4)) for _ in range(2)]
+        for g in gs:
+            g[rng.uniform(size=g.shape) < 0.3] = -0.0
+        with Tape() as tape:
+            table = base if kind == "leaf" else T.scale(base, 1.0)
+            lookups = [T.take_rows(table, ids) for _ in gs]
+        want = None
+        for node, g in zip(tape.nodes[-2:], gs):
+            node.backward_fn(g)
+            dense = np.zeros((rows, 4))
+            np.add.at(dense, ids, g)
+            want = dense + 0.0 if want is None else want + dense
+            assert table.grad.tobytes() == want.tobytes()
+        assert all(np.array_equal(out.data, base.data[ids]) for out in lookups)
+
+    def test_row_gradient_allocates_touched_rows_only(self):
+        # after the first accumulation, a lookup's backward allocates no
+        # table-sized float array, only an index entry per table row
+        table = Tensor(np.zeros((20000, 48)), requires_grad=True)
+        ids = [5, 17, 5, 9000]
+        with Tape() as tape:
+            for _ in range(2):
+                T.embedding_lookup(table, ids)
+        g = np.ones((len(ids), 48))
+        tape.nodes[0].backward_fn(g)
+        tracemalloc.start()
+        try:
+            tape.nodes[1].backward_fn(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.data.nbytes / 10
+        assert np.array_equal(table.grad[[5, 17, 9000]], [[4.0] * 48, [2.0] * 48, [2.0] * 48])
 
     def test_embedding_out_of_range(self):
         with pytest.raises(IndexError):
@@ -281,10 +347,15 @@ def attention_reference(q, k, v, mask, g):
 class TestMaskedAttention:
     @given(st.sampled_from(["build", "identity", "random"]), st.sampled_from(list(MaskKind)),
            st.integers(1, 40), st.integers(1, 200), st.integers(0, 199),
-           st.sampled_from([1, 3, 24, 48]), st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_row_reference_bytes(self, pattern, kind, chunk, length, start, feat,
+           st.sampled_from([(1, False), (3, False), (24, False), (48, False),
+                            (24, True), (48, True)]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_row_reference_bytes(self, pattern, kind, chunk, length, start, width,
                                          seed):
+        # with ``blocks``, q, k and v are column views of one [L, 3F] array,
+        # as tensor.project hands them over at the models' widths
+        feat, blocks = width
         rng = np.random.default_rng(seed)
         if pattern == "build":
             mask = build_mask(MaskSpec(kind, chunk), length)
@@ -294,7 +365,13 @@ class TestMaskedAttention:
             mask = rng.uniform(size=(length, length)) < 0.5
             mask[np.arange(length), rng.integers(0, length, length)] = True
         mask = mask[start % length:]  # rectangular [Lq, Lk], as the stream K/V cache calls
-        q, k, v = (rand(rng, n, feat) for n in (mask.shape[0], length, length))
+        if blocks:
+            qkv = rng.normal(size=(length, 3 * feat))
+            q, k, v = (Tensor(qkv[-len(mask):, :feat], requires_grad=True),
+                       Tensor(qkv[:, feat:2 * feat], requires_grad=True),
+                       Tensor(qkv[:, 2 * feat:], requires_grad=True))
+        else:
+            q, k, v = (rand(rng, n, feat) for n in (mask.shape[0], length, length))
         g = rng.normal(size=q.shape)
         with Tape() as tape:
             out = T.masked_attention(q, k, v, mask)
