@@ -301,13 +301,12 @@ def _mask_fractions(rng: np.random.Generator, length: int) -> np.ndarray:
 
 def training_step(model: CfmModel, x1: FeatureSeq, cond_v: np.ndarray,
                   tokens: Sequence[int], rng: np.random.Generator,
-                  chunk: int = 30, oracle_field: np.ndarray | None = None) -> Tensor:
+                  chunk: int = 30) -> Tensor:
     """One flow-matching regression loss with randomized mask and CFG dropout.
 
     Draws t ~ U[0,1] and x0 ~ N(0,I), masks out a final fraction in
     [0.7, 1.0] of the reference frames, picks one of the four masks
-    uniformly and drops all conditions with probability p_uncond. Pass
-    ``oracle_field`` to score a hard-wired estimator instead of the model.
+    uniformly and drops all conditions with probability p_uncond.
     """
     length = len(x1)
     t = float(rng.uniform())
@@ -322,10 +321,7 @@ def training_step(model: CfmModel, x1: FeatureSeq, cond_v: np.ndarray,
 
     xt = Tensor(ot_path(x0, x1, t).frames)
     target = Tensor(target_field(x0, x1).frames)
-    if oracle_field is not None:
-        pred = Tensor(oracle_field)
-    else:
-        pred = model.field(xt, t, cond, mask, unconditional=uncond)
+    pred = model.field(xt, t, cond, mask, unconditional=uncond)
     return T.mean_all(T.abs_val(T.sub(target, pred)))
 
 

@@ -67,9 +67,8 @@ class TransformerBlock:
         """Apply the block to the rows of ``x``.
 
         ``mask`` is a bool array or its :class:`~streamsynth.tensor.AttentionPlan`.
-        The queries, keys and values come from one :func:`~streamsynth.tensor.project`
-        call over ``wq``, ``wk`` and ``wv``, with the bytes and gradients of
-        three separate layer calls.
+        The queries, keys and values are three layer calls, in that order,
+        so each is a C-contiguous array of its own.
 
         ``kv`` is [K, V]: the key and value data of the rows that precede
         ``x``, so ``mask`` is [len(x), len(K) + len(x)]. The call appends the
@@ -78,8 +77,7 @@ class TransformerBlock:
         passes none.
         """
         h = self.ln1(x)
-        q, k, v = T.project(h, [(layer.w, layer.b) for layer in (self.wq, self.wk, self.wv)],
-                            row_stable)
+        q, k, v = self.wq(h, row_stable), self.wk(h, row_stable), self.wv(h, row_stable)
         if kv is not None:
             k, v = T.append_rows(kv[0], k), T.append_rows(kv[1], v)
             kv[0], kv[1] = k.data, v.data

@@ -26,7 +26,6 @@ from .tensor import Tensor
 __all__ = [
     "PreferencePair",
     "dpo_loss",
-    "recover_digits",
     "recover_lowrank",
     "gumbel_softmax_sample",
     "ToyAsrBackend",
@@ -69,14 +68,9 @@ def dpo_loss(logp_w_theta, logp_l_theta, logp_w_ref, logp_l_ref,
     return T.softplus(T.scale(margin, -beta_dpo))
 
 
-def recover_digits(tokens: Sequence[int], d: int, k: int) -> np.ndarray:
-    """Digit rows in [-k, k] for every token, shape [n, d]."""
-    return decode_indices(tokens, d, k)
-
-
 def recover_lowrank(codec: FsqCodec, tokens: Sequence[int]):
     """Tokens -> digit matrix -> frozen up-projection. Returns (digits, Hhat)."""
-    digits = recover_digits(tokens, codec.config.d, codec.config.k)
+    digits = decode_indices(tokens, codec.config.d, codec.config.k)
     hhat = codec.proj_up(Tensor(digits.astype(np.float64)))
     return digits, hhat
 
@@ -143,7 +137,7 @@ def train_asr_backend(asr: ToyAsrBackend, pairs, steps: int,
     last = float("inf")
     for _ in range(steps):
         text, speech = pairs[int(rng.integers(len(pairs)))]
-        digits = recover_digits(speech, d, k).astype(np.float64)
+        digits = decode_indices(speech, d, k).astype(np.float64)
         digits += 0.15 * rng.standard_normal(digits.shape)
         targets = [t - asr.vocab.speech_size for t in text]
         last = opt.minimize(lambda: T.cross_entropy_ignore(

@@ -10,7 +10,6 @@ bit level.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from contextlib import contextmanager
@@ -32,7 +31,6 @@ __all__ = [
     "mul",
     "scale",
     "matmul",
-    "project",
     "activation",
     "relu",
     "silu",
@@ -289,12 +287,6 @@ def _product(a: np.ndarray, b: np.ndarray, row_stable: bool) -> np.ndarray:
     return np.einsum("lk,kn->ln", a, np.ascontiguousarray(b), optimize=False)
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor | None, data: np.ndarray) -> Tensor:
-    """Record ``data``, that is ``x @ w`` plus ``b`` if given, with its gradients."""
-    bias = () if b is None else ((b, lambda g: g.sum(axis=0)),)
-    return _result(data, (x, lambda g: g @ w.data.T), (w, lambda g: x.data.T @ g), *bias)
-
-
 def matmul(a: Tensor, b: Tensor, row_stable: bool = False,
            bias: Tensor | None = None) -> Tensor:
     """Matrix product ``a @ b``, plus ``bias`` added to every row if given.
@@ -313,31 +305,17 @@ def matmul(a: Tensor, b: Tensor, row_stable: bool = False,
     holds ``-0.0`` (the first is stored as ``g + 0.0``, and a sum is
     ``-0.0`` only when both terms are), so the product's gradient there was
     ``g`` itself.
+
+    Every layer of the models multiplies by its weight through one call of
+    this primitive, so a wrapper around it sees every weight product.
     """
     data = _product(a.data, b.data, row_stable)
     if bias is not None:
         if bias.data.shape != data.shape[1:]:
             raise DimensionError(f"bias shape {bias.shape} vs product {data.shape}")
         data += bias.data
-    return _linear(a, b, bias, data)
-
-
-def project(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]],
-            row_stable: bool = False) -> list[Tensor]:
-    """``[matmul(x, w, row_stable, bias=b) for w, b in layers]`` from one
-    kernel call over the weights side by side.
-
-    Each output column is the same sum over ``x``'s columns as in a
-    separate call, and both kernels give it the same bytes at the models'
-    widths (a property test holds this at widths 24 and 48, 1 to 400 rows).
-    Each output is recorded as its own node, in ``layers`` order, with that
-    call's backward, so the gradients into ``x`` add up as those of
-    separate calls do.
-    """
-    data = _product(x.data, np.concatenate([w.data for w, _ in layers], axis=1), row_stable)
-    data += np.concatenate([b.data for _, b in layers])
-    edges = [0, *itertools.accumulate(w.data.shape[1] for w, _ in layers)]
-    return [_linear(x, w, b, data[:, lo:hi]) for (w, b), lo, hi in zip(layers, edges, edges[1:])]
+    grads = () if bias is None else ((bias, lambda g: g.sum(axis=0)),)
+    return _result(data, (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g), *grads)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -564,7 +542,9 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask) -> Tensor:
     and outputs are stacked matrix-vector products (``np.matmul`` over
     ``[n, F, 1]`` and ``[n, 1, W]`` operands), for which numpy calls the
     same BLAS matrix-vector kernel once per row that a row-by-row loop calls,
-    so a row's bytes do not depend on its group. ``Q @ K.T`` or ``einsum``
+    so a row's bytes do not depend on its group. That holds for C-contiguous
+    ``q``, ``k`` and ``v``, which every model call passes; column views of a
+    wider array, at widths 1 to 3, give other bytes. ``Q @ K.T`` or ``einsum``
     would run a matrix-matrix kernel whose sums round differently. The
     gradients of ``q`` and of the scores are computed the same way.
 

@@ -214,29 +214,35 @@ class TestCfgField:
             assert np.concatenate([p.frames for p in parts]).tobytes() == x.tobytes()
 
 
+def oracle_model(monkeypatch, field):
+    """A small model whose estimator returns the constant ``field``."""
+    model = small_model()
+    monkeypatch.setattr(model, "field", lambda *args, **kwargs: Tensor(field))
+    return model
+
+
 class TestTrainingStep:
-    def test_oracle_estimator_zero_loss(self):
+    def test_oracle_estimator_zero_loss(self, monkeypatch):
         rng = np.random.default_rng(0)
-        model = small_model()
         x1 = FeatureSeq(rng.normal(size=(6, SMALL.n_features)))
         probe = np.random.default_rng(42)
         t = float(probe.uniform())
         x0 = probe.standard_normal(x1.frames.shape)
         # replay the same rng stream inside training_step via a fresh twin
+        model = oracle_model(monkeypatch, x1.frames - x0)
         loss = training_step(model, x1, np.zeros(SMALL.speaker_dim), [1] * 3,
-                             np.random.default_rng(42), oracle_field=x1.frames - x0)
+                             np.random.default_rng(42))
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
-    def test_oracle_estimator_zero_param_gradients(self):
+    def test_oracle_estimator_zero_param_gradients(self, monkeypatch):
         rng = np.random.default_rng(1)
-        model = small_model()
         x1 = FeatureSeq(rng.normal(size=(4, SMALL.n_features)))
         x0 = np.random.default_rng(7).standard_normal(x1.frames.shape)
+        model = oracle_model(monkeypatch, x1.frames - x0)
         params = model.parameters()
         with Tape() as tape:
             loss = training_step(model, x1, np.zeros(SMALL.speaker_dim), [2, 3],
-                                 np.random.default_rng(7),
-                                 oracle_field=x1.frames - x0)
+                                 np.random.default_rng(7))
         # a constant-oracle loss never touches the model, so nothing records
         assert not loss.requires_grad and tape.nodes == []
         assert all(p.grad is None for p in params)

@@ -65,6 +65,28 @@ class TestIndexCodec:
         mu = fsq.encode_index(digits, k)
         assert np.array_equal(fsq.decode_index(mu, d, k), digits)
 
+    def test_decode_indices_rows_match_decode_index(self):
+        tokens = [0, 40, 80, 40]
+        rows = fsq.decode_indices(tokens, 4, 1)
+        for tok, row in zip(tokens, rows):
+            assert np.array_equal(row, fsq.decode_index(tok, 4, 1))
+
+    def test_decode_indices_token_zero_all_minus_one(self):
+        digits = fsq.decode_indices([0, 0], d=8, k=1)
+        assert digits.shape == (2, 8)
+        assert np.array_equal(digits, [[-1] * 8] * 2)
+
+    def test_decode_indices_roundtrip_with_encode(self):
+        rng = np.random.default_rng(0)
+        digits = rng.integers(-1, 2, size=(200, 4))
+        tokens = [fsq.encode_index(row, 1) for row in digits]
+        assert np.array_equal(fsq.decode_indices(tokens, 4, 1), digits)
+
+    def test_decode_indices_out_of_range_token_named(self):
+        # one bad token among good ones fails the whole batch, naming it
+        with pytest.raises(fsq.RangeError, match="token 81 "):
+            fsq.decode_indices([3, 81, 5], 4, 1)
+
     def test_exhaustive_small(self):
         cfg = FsqConfig(d=4, k=1)
         seen = set()

@@ -138,9 +138,9 @@ class TestBlocks:
     @given(st.integers(1, 400), st.sampled_from([24, 48]), st.booleans(),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
-    def test_fused_qkv_bytes_equal_separate_layers(self, rows, dim, row_stable, seed):
-        # one project() call against three layer calls, both as the one-node
-        # Linear and as a product followed by add_rowvec: the same forward
+    def test_linear_bytes_equal_product_then_add_rowvec(self, rows, dim, row_stable, seed):
+        # three layers over one input, as a block's q, k and v: the one-node
+        # Linear and a product followed by add_rowvec give the same forward
         # bytes, and after backward the same gradients into h, w and b
         rng = np.random.default_rng(seed)
         layers = [Linear(rng, dim, dim, std=0.3) for _ in range(3)]
@@ -149,7 +149,6 @@ class TestBlocks:
         h = Tensor(rng.normal(size=(rows, dim)), requires_grad=True)
         weights = [Tensor(rng.normal(size=(rows, dim))) for _ in range(3)]
         separate = {
-            "fused": lambda: T.project(h, [(lay.w, lay.b) for lay in layers], row_stable),
             "linear": lambda: [lay(h, row_stable) for lay in layers],
             "two-node": lambda: [T.add_rowvec(T.matmul(h, lay.w, row_stable), lay.b)
                                  for lay in layers],
@@ -165,7 +164,7 @@ class TestBlocks:
                                                 for o, w in zip(outs, weights)))
             tape.backward(loss)
             results[name] = [o.data.tobytes() for o in outs] + [p.grad.tobytes() for p in params]
-        assert results["fused"] == results["linear"] == results["two-node"]
+        assert results["linear"] == results["two-node"]
 
     def test_non_finite_appended_kv_row_raises(self):
         rng = np.random.default_rng(0)
@@ -193,18 +192,19 @@ class TestBlocks:
 
 
 class TestWorkCounts:
-    """Primitive outputs (``tensor._result`` calls) and product kernel calls
-    (``tensor._product``) per cached LM token and per guided field call: a
-    block makes one product for q, k and v, and a layer's bias rides in its
+    """Primitive outputs (``tensor._result`` calls), product kernel calls
+    (``tensor._product``) and ``tensor.matmul`` calls per cached LM token and
+    per guided field call: every weight product is one ``matmul`` call, so a
+    wrapper around it sees them all, and a layer's bias rides in its
     product."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        calls = {"_result": 0, "_product": 0}
+        calls = {"_result": 0, "_product": 0, "matmul": 0}
         for name in calls:
-            def counting(*args, _fn=getattr(T, name), _name=name):
+            def counting(*args, _fn=getattr(T, name), _name=name, **kwargs):
                 calls[_name] += 1
-                return _fn(*args)
+                return _fn(*args, **kwargs)
             monkeypatch.setattr(T, name, counting)
         return calls
 
@@ -212,11 +212,12 @@ class TestWorkCounts:
         lm = seqlm.ToyLM(seqlm.Vocabulary(speech_size=20, text_size=6), dim=8, n_blocks=2)
         cache = seqlm.LmCache()
         lm.logits_last([1, 2, 3], cache)
-        counts.update(_result=0, _product=0)
+        counts.update(_result=0, _product=0, matmul=0)
         lm.logits_last([1, 2, 3, 4], cache)
         # embeddings 3; per block: 2 norms, 3 projections, 2 cache rows,
         # attention, 3 layers, silu, 2 residual adds; final norm and head
-        assert counts == {"_result": 3 + 2 * 14 + 2, "_product": 2 * 4 + 1}
+        assert counts == {"_result": 3 + 2 * 14 + 2, "_product": 2 * 6 + 1,
+                          "matmul": 2 * 6 + 1}
 
     def test_attention_backward(self, counts):
         # the gradients of k and of v are one product each, whatever the
@@ -226,9 +227,9 @@ class TestWorkCounts:
         x = Tensor(rng.normal(size=(12, 8)), requires_grad=True)
         with Tape() as tape:
             loss = T.sum_all(block(x, np.tril(np.ones((12, 12), dtype=bool))))
-        counts.update(_result=0, _product=0)
+        counts.update(_result=0, _product=0, matmul=0)
         tape.backward(loss)
-        assert counts == {"_result": 0, "_product": 2}
+        assert counts == {"_result": 0, "_product": 2, "matmul": 0}
 
     def test_guided_field_call(self, counts):
         config = cfm.CfmConfig(n_features=4, token_vocab=40, token_embed=6, hidden=10,
@@ -239,12 +240,13 @@ class TestWorkCounts:
                                 cfm.FeatureSeq(np.zeros((0, 4))))
         mask = cfm.build_mask(cfm.MaskSpec(cfm.MaskKind.CHUNK, chunk=4), 8)
         feats = model.token_conditions(cond.tokens, mask)
-        counts.update(_result=0, _product=0)
+        counts.update(_result=0, _product=0, matmul=0)
         cfm.cfg_field(model, Tensor(rng.normal(size=(8, 4))), 0.3, cond, 0.7, mask,
                       token_feats=feats)
         # input concat, est_in, relu; per block 12 as in the LM without a
         # cache; final norm and est_out
-        assert counts == {"_result": 3 + 3 * 12 + 2, "_product": 1 + 3 * 4 + 1}
+        assert counts == {"_result": 3 + 3 * 12 + 2, "_product": 1 + 3 * 6 + 1,
+                          "matmul": 1 + 3 * 6 + 1}
 
 
 class TestCheckpointFormat:

@@ -6,7 +6,7 @@ from streamsynth import dataio
 from streamsynth import rl
 from streamsynth import tensor as T
 from streamsynth.config import load_config
-from streamsynth.fsq import FsqCodec, FsqConfig, decode_index, encode_index
+from streamsynth.fsq import FsqCodec, FsqConfig
 from streamsynth.seqlm import (InterleaveConfig, ToyLM, Vocabulary,
                                build_nonstream, build_stream, top_k_sampler, train_lm)
 from streamsynth.tensor import Tape, Tensor
@@ -74,33 +74,12 @@ class TestDpoLoss:
 
 
 class TestRecovery:
-    def test_token_zero_all_minus_one(self):
-        digits = rl.recover_digits([0], d=8, k=1)
-        assert np.array_equal(digits[0], [-1] * 8)
-
-    def test_roundtrip_with_encode(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            digits = rng.integers(-1, 2, size=4)
-            mu = encode_index(digits, 1)
-            assert np.array_equal(rl.recover_digits([mu], 4, 1)[0], digits)
-
-    def test_matches_decode_index(self):
-        tokens = [0, 40, 80]
-        rows = rl.recover_digits(tokens, 4, 1)
-        for tok, row in zip(tokens, rows):
-            assert np.array_equal(row, decode_index(tok, 4, 1))
-
     def test_lowrank_through_frozen_projection(self, world):
         _, _, _, _, _, codec, _ = world
         tokens = [3, 17, 42]
         digits, hhat = rl.recover_lowrank(codec, tokens)
         expected = codec.proj_up(Tensor(digits.astype(float))).data
         assert np.array_equal(hhat.data, expected)
-
-    def test_out_of_range_token(self):
-        with pytest.raises(Exception):
-            rl.recover_digits([81], 4, 1)
 
 
 class TestGumbelSoftmax:

@@ -353,8 +353,9 @@ class TestMaskedAttention:
     @settings(max_examples=60, deadline=None)
     def test_matches_row_reference_bytes(self, pattern, kind, chunk, length, start, width,
                                          seed):
-        # with ``blocks``, q, k and v are column views of one [L, 3F] array,
-        # as tensor.project hands them over at the models' widths
+        # with ``blocks``, q, k and v are column views of one [L, 3F] array;
+        # the models pass C-contiguous operands, but at their widths views
+        # give the same bytes too
         feat, blocks = width
         rng = np.random.default_rng(seed)
         if pattern == "build":
