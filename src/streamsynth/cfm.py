@@ -33,7 +33,7 @@ import numpy as np
 
 from . import tensor as T
 from .fileio import read_text, write_lines
-from .nn import LayerNorm, Linear, TransformerBlock
+from .nn import LayerNorm, Linear, Module, TransformerBlock
 from .tensor import Tensor
 
 __all__ = [
@@ -178,7 +178,7 @@ class CfmConfig:
     nfe: int = 10
 
 
-class CfmModel:
+class CfmModel(Module):
     """Look-ahead conv, 2x upsampler, token alignment, masked estimator."""
 
     def __init__(self, config: CfmConfig, rng: np.random.Generator | None = None):
@@ -204,18 +204,6 @@ class CfmModel:
                            for _ in range(c.n_estimator_blocks)]
         self.est_norm = LayerNorm(c.hidden)
         self.est_out = Linear(rng, c.hidden, c.n_features, std=0.1)
-
-    def parameters(self) -> list[Tensor]:
-        out = [self.token_embed, self.conv_kernel]
-        out.extend(self.token_proj.parameters())
-        for b in self.align_blocks:
-            out.extend(b.parameters())
-        out.extend(self.est_in.parameters())
-        for b in self.est_blocks:
-            out.extend(b.parameters())
-        out.extend(self.est_norm.parameters())
-        out.extend(self.est_out.parameters())
-        return out
 
     def token_conditions(self, tokens: Sequence[int], mask: np.ndarray) -> Tensor:
         """Per-frame token features: conv, upsample, masked attention, plus a

@@ -2,7 +2,7 @@
 
 Layout: magic ``SSYN``, u32 format version, u32 metadata byte length,
 metadata as UTF-8 ``key=value`` lines (module name plus one ``shape.<name>``
-entry per parameter, in declaration order), then each parameter as a u64
+entry per parameter, in ``parameters()`` order), then each parameter as a u64
 element count followed by raw float64 little-endian values.
 """
 
@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 import struct
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .fileio import read_bytes
+from .fileio import read_bytes, write_bytes
 
 MAGIC = b"SSYN"
 VERSION = 1
@@ -48,7 +47,7 @@ def save_checkpoint(path, module: str, named_arrays: Sequence[tuple[str, np.ndar
         flat = np.ascontiguousarray(arr, dtype="<f8").reshape(-1)
         blob += struct.pack("<Q", flat.size)
         blob += flat.tobytes()
-    Path(path).write_bytes(bytes(blob))
+    write_bytes(path, bytes(blob))
 
 
 def load_checkpoint(path):

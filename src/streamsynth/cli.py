@@ -478,7 +478,7 @@ def main(argv=None) -> int:
     except (ConfigError, cfm_mod.StreamingMaskError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,7 +3,8 @@
 Text files are UTF-8 with LF line ends. A reader names its format's typed
 error: bytes that are not UTF-8, or a path that cannot be read (a directory,
 no read permission), raise that error with the path in its message. A missing
-file stays a ``FileNotFoundError``.
+file stays a ``FileNotFoundError``, and a path that cannot be written raises
+its ``OSError``, which the command line reports as an error exit.
 """
 
 from __future__ import annotations
@@ -40,3 +41,7 @@ def write_lines(path, lines: Iterable[str]) -> None:
     text = "".join(line + "\n" for line in lines)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(text)
+
+
+def write_bytes(path, data: bytes) -> None:
+    Path(path).write_bytes(data)

@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .config import split_seed
 from .fileio import read_text, write_lines
-from .nn import Adam, Linear
+from .nn import Adam, Linear, Module
 from .tensor import Tensor
 
 __all__ = [
@@ -109,7 +109,7 @@ def digit_table(config: FsqConfig) -> np.ndarray:
     return decode_indices(np.arange(config.codebook_size), config.d, config.k).astype(np.float64)
 
 
-class FsqCodec:
+class FsqCodec(Module):
     """Projection pair, both with biases, around the bounded-round bottleneck.
 
     The hidden width of the projection source space is configuration.
@@ -122,9 +122,6 @@ class FsqCodec:
         self.hidden = hidden
         self.proj_down = Linear(rng, hidden, config.d, std=0.4)
         self.proj_up = Linear(rng, config.d, hidden, std=0.4)
-
-    def parameters(self):
-        return self.proj_down.parameters() + self.proj_up.parameters()
 
     def quantize(self, h: Tensor, straight_through: bool = True):
         """Returns (digit matrix [T, D] as int array, reconstructed Tensor [T, hidden]).

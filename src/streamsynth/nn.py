@@ -10,6 +10,7 @@ from . import tensor as T
 from .tensor import Tensor
 
 __all__ = [
+    "Module",
     "Linear",
     "LayerNorm",
     "TransformerBlock",
@@ -18,26 +19,44 @@ __all__ = [
 ]
 
 
-def normal_init(rng: np.random.Generator, shape, std: float = 0.02) -> Tensor:
-    return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
+class Module:
+    """A model part whose parameters are its :class:`Tensor` attributes.
+
+    ``parameters()`` lists them in attribute-assignment order, each
+    sub-module (or list of sub-modules) expanding in place into its own.
+    That order is the checkpoint layout, the optimizer state and the
+    fingerprint order, so a constant that no gradient trains is kept as an
+    ndarray, not a Tensor.
+    """
+
+    def parameters(self) -> list[Tensor]:
+        out: list[Tensor] = []
+        for value in vars(self).values():
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, Tensor):
+                    out.append(item)
+                elif isinstance(item, Module):
+                    out.extend(item.parameters())
+        return out
+
+    def freeze(self) -> None:
+        """Stop training every parameter and drop its gradient."""
+        for p in self.parameters():
+            p.requires_grad = False
+            p.zero_grad()
 
 
-class Linear:
+class Linear(Module):
     def __init__(self, rng, d_in: int, d_out: int, std: float = 0.02, zero: bool = False):
-        if zero:
-            self.w = Tensor(np.zeros((d_in, d_out)), requires_grad=True)
-        else:
-            self.w = normal_init(rng, (d_in, d_out), std)
+        w = np.zeros((d_in, d_out)) if zero else rng.normal(0.0, std, size=(d_in, d_out))
+        self.w = Tensor(w, requires_grad=True)
         self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor, row_stable: bool = False) -> Tensor:
         return T.matmul(x, self.w, row_stable=row_stable, bias=self.b)
 
-    def parameters(self):
-        return [self.w, self.b]
 
-
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, dim: int):
         self.gain = Tensor(np.ones(dim), requires_grad=True)
         self.bias = Tensor(np.zeros(dim), requires_grad=True)
@@ -45,11 +64,8 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.gain, self.bias)
 
-    def parameters(self):
-        return [self.gain, self.bias]
 
-
-class TransformerBlock:
+class TransformerBlock(Module):
     """Pre-norm single-head attention block with a silu MLP of width 4 * dim."""
 
     def __init__(self, rng, dim: int, std: float = 0.02):
@@ -87,12 +103,6 @@ class TransformerBlock:
         h = T.silu(self.fc1(h, row_stable))
         x = T.add(x, self.fc2(h, row_stable))
         return x
-
-    def parameters(self):
-        out = []
-        for layer in (self.ln1, self.wq, self.wk, self.wv, self.wo, self.ln2, self.fc1, self.fc2):
-            out.extend(layer.parameters())
-        return out
 
 
 class Adam:

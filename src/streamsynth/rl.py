@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .fsq import FsqCodec, decode_indices, digit_table
-from .nn import Adam, Linear, param_fingerprint
+from .nn import Adam, Linear, Module, param_fingerprint
 from .seqlm import (InterleaveConfig, ToyLM, Vocabulary, build_icl_prompt,
                     build_nonstream, generate, top_k_sampler)
 from .tensor import Tensor
@@ -84,7 +84,7 @@ def gumbel_softmax_sample(logits: Tensor, tau: float, rng: np.random.Generator) 
     return T.softmax(T.scale(T.add(logits, noise), 1.0 / tau), axis=-1)
 
 
-class ToyAsrBackend:
+class ToyAsrBackend(Module):
     """Frozen classifier from recovered token representations to text posteriors.
 
     Consumes GROUP consecutive up-projected vectors per text symbol.
@@ -97,15 +97,7 @@ class ToyAsrBackend:
         self.vocab = vocab
         self.fc1 = Linear(rng, GROUP * codec.hidden, hidden, std=0.2)
         self.fc2 = Linear(rng, hidden, vocab.text_size, std=0.2)
-        self.table = Tensor(digit_table(codec.config))  # [V_speech, D], no grad
-
-    def parameters(self) -> list[Tensor]:
-        return self.codec.parameters() + self.fc1.parameters() + self.fc2.parameters()
-
-    def freeze(self) -> None:
-        for p in self.parameters():
-            p.requires_grad = False
-            p.zero_grad()
+        self.table = digit_table(codec.config)  # [V_speech, D], a constant
 
     def fingerprint(self) -> bytes:
         return param_fingerprint(self.parameters())
@@ -172,7 +164,7 @@ def asr_nll_hard(asr: ToyAsrBackend, speech: Sequence[int], text: Sequence[int])
 
 def soft_decode(asr: ToyAsrBackend, soft_tokens: Tensor) -> Tensor:
     """Expected digit vectors under a soft token distribution, up-projected."""
-    digits = T.matmul(soft_tokens, asr.table)
+    digits = T.matmul(soft_tokens, Tensor(asr.table))
     return asr.codec.proj_up(digits)
 
 
@@ -239,10 +231,7 @@ def sequence_logprob(model: ToyLM, vocab: Vocabulary, text: Sequence[int],
 
 def clone_frozen_lm(model: ToyLM) -> ToyLM:
     ref = copy.deepcopy(model)
-    for p in ref.parameters():
-        p.data = p.data.copy()
-        p.requires_grad = False
-        p.zero_grad()
+    ref.freeze()
     return ref
 
 

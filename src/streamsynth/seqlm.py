@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import tensor as T
-from .nn import Adam, LayerNorm, Linear, TransformerBlock
+from .nn import Adam, LayerNorm, Linear, Module, TransformerBlock
 from .tensor import Tensor
 
 __all__ = [
@@ -414,7 +414,7 @@ class LmCache:
         return len(self.ids)
 
 
-class ToyLM:
+class ToyLM(Module):
     """Two-block causal transformer over the joint text/speech vocabulary."""
 
     def __init__(self, vocab: Vocabulary, dim: int = 48, n_blocks: int = 2,
@@ -429,14 +429,6 @@ class ToyLM:
         self.ln_f = LayerNorm(dim)
         # zero head: an untrained model scores exactly uniform
         self.head = Linear(rng, dim, vocab.size, zero=True)
-
-    def parameters(self) -> list[Tensor]:
-        out = [self.embed, self.pos]
-        for b in self.blocks:
-            out.extend(b.parameters())
-        out.extend(self.ln_f.parameters())
-        out.extend(self.head.parameters())
-        return out
 
     def _embed(self, ids: Sequence[int], start: int) -> Tensor:
         """Token plus position embeddings of ``ids`` placed at ``start``."""

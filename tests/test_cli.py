@@ -124,6 +124,21 @@ class TestValidation:
         assert code == 1
         assert "nope.ssyn" in capsys.readouterr().err
 
+    def test_out_path_that_is_a_file_exits_1(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"")
+        code = run("gen-data", "--out", taken, *TINY)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "taken" in err and "Traceback" not in err
+
+    def test_output_file_that_is_a_directory_exits_1(self, tmp_path, capsys):
+        (tmp_path / "d" / "corpus.txt").mkdir(parents=True)
+        code = run("gen-data", "--out", tmp_path / "d", *TINY)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "corpus.txt" in err and "Traceback" not in err
+
     def test_unusable_corpus_settings_exit_2(self, tmp_path, capsys):
         code = run("gen-data", "--out", tmp_path / "x", "--set", "seqlm.pairs=0")
         assert code == 2

@@ -9,7 +9,7 @@ import pytest
 from streamsynth.fileio import read_bytes, read_text, write_lines
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "streamsynth"
-FILE_METHODS = {"read_text", "write_text", "read_bytes"}
+FILE_METHODS = {"read_text", "write_text", "read_bytes", "write_bytes"}
 
 
 class Bad(ValueError):
@@ -33,7 +33,7 @@ def file_calls(source: str) -> list[int]:
 def test_guard_finds_direct_file_access():
     source = ("open(p)\nPath(p).read_text()\np.write_text(s)\nfileio.read_text(p, E)\n"
               "read_bytes(p, E)\np.write_bytes(b)\n")
-    assert file_calls(source) == [1, 2, 3]
+    assert file_calls(source) == [1, 2, 3, 6]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")

@@ -11,7 +11,7 @@ from gradcheck import check_gradients
 from streamsynth import cfm, rl, seqlm
 from streamsynth import tensor as T
 from streamsynth.checkpoint import (CheckpointError, load_checkpoint, save_checkpoint)
-from streamsynth.nn import Adam, Linear, TransformerBlock, param_fingerprint
+from streamsynth.nn import Adam, LayerNorm, Linear, Module, TransformerBlock, param_fingerprint
 from streamsynth.persist import load_cfm, load_codec, load_lm, save_cfm, save_codec, save_lm
 from streamsynth.tensor import Tape, Tensor
 
@@ -189,6 +189,61 @@ class TestBlocks:
         fp = param_fingerprint(layer.parameters())
         layer.w.data[0, 0] += 1.0
         assert param_fingerprint(layer.parameters()) != fp
+
+
+class TestModule:
+    """One rule gives every model its parameters: the Tensor attributes and
+    the parameters of sub-modules, in assignment order."""
+
+    @staticmethod
+    def toy():
+        rng = np.random.default_rng(0)
+        toy = Module()
+        toy.scale = Tensor(np.ones(2), requires_grad=True)
+        toy.config = cfm.CfmConfig()
+        toy.inner = Linear(rng, 2, 3)
+        toy.width = 3
+        toy.table = np.eye(3)
+        toy.layers = [LayerNorm(3), Linear(rng, 3, 1)]
+        return toy
+
+    def test_parameters_in_assignment_order_without_constants(self):
+        toy = self.toy()
+        expected = [toy.scale, toy.inner.w, toy.inner.b, toy.layers[0].gain,
+                    toy.layers[0].bias, toy.layers[1].w, toy.layers[1].b]
+        got = toy.parameters()
+        assert len(got) == len(expected)
+        assert all(a is b for a, b in zip(got, expected))
+
+    def test_freeze_reaches_every_parameter(self):
+        toy = self.toy()
+        for p in toy.parameters():
+            p.grad = np.ones_like(p.data)
+        toy.freeze()
+        assert all(not p.requires_grad and p.grad is None for p in toy.parameters())
+        assert not toy.layers[1].b.requires_grad
+
+    def test_clone_frozen_lm_shares_no_array(self):
+        vocab = seqlm.Vocabulary(speech_size=9, text_size=4)
+        lm = seqlm.ToyLM(vocab, dim=8, n_blocks=1, max_len=16,
+                         rng=np.random.default_rng(2))
+        ref = rl.clone_frozen_lm(lm)
+        assert param_fingerprint(ref.parameters()) == param_fingerprint(lm.parameters())
+        assert not any(np.shares_memory(a.data, b.data)
+                       for a in ref.parameters() for b in lm.parameters())
+        assert all(p.requires_grad for p in lm.parameters())
+        assert not any(p.requires_grad for p in ref.parameters())
+
+    def test_asr_backend_digit_table_is_no_parameter(self):
+        from streamsynth.fsq import FsqCodec, FsqConfig
+        codec = FsqCodec(FsqConfig(4, 1), hidden=6, rng=np.random.default_rng(3))
+        asr = rl.ToyAsrBackend(codec, seqlm.Vocabulary(81, 16),
+                               rng=np.random.default_rng(4))
+        params = asr.parameters()
+        assert len(params) == 8
+        assert params[:4] == codec.parameters()
+        assert isinstance(asr.table, np.ndarray)
+        assert not any(np.shares_memory(p.data, asr.table) for p in params)
 
 
 class TestWorkCounts:
