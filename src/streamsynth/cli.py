@@ -30,11 +30,21 @@ from .metrics import MetricsReport
 from .nn import Adam
 
 
-def _out_dir(raw: str) -> Path:
+def _out_path(raw: str) -> Path:
+    """The --out directory, under STREAMSYNTH_OUT if relative; raises
+    ``NotADirectoryError`` when it, or its nearest existing ancestor, is a file."""
     root = os.environ.get("STREAMSYNTH_OUT")
     path = Path(raw)
     if root and not path.is_absolute():
         path = Path(root) / path
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--out {path}: {existing} is not a directory")
+    return path
+
+
+def _out_dir(raw: str) -> Path:
+    path = _out_path(raw)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -321,14 +331,13 @@ def cmd_finetune(args) -> int:
     metrics: dict[str, float] = {}
 
     if args.objective in ("dpo", "both"):
-        ref = rl_mod.clone_frozen_lm(lm)
         prefs = rl_mod.make_preference_pairs(lm, asr, texts, motifs, rng)
         if not prefs:
             print("no usable preference pairs (all candidates identical)")
             return 1
         dataio.write_preference_file(_out_dir(args.out) / "preferences.txt", prefs)
         metrics["margin_before"] = rl_mod.preference_margin(lm, prefs)
-        rl_mod.finetune_dpo(lm, ref, prefs, cfg.rl.steps, rng, beta_dpo=cfg.rl.beta_dpo,
+        rl_mod.finetune_dpo(lm, prefs, cfg.rl.steps, rng, beta_dpo=cfg.rl.beta_dpo,
                             lr=cfg.rl.lr)
         metrics["margin_after"] = rl_mod.preference_margin(lm, prefs)
     if args.objective in ("asr", "both"):
@@ -474,6 +483,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out is not None:
+            _out_path(args.out)  # before any work, so a bad --out costs none
         return args.fn(args)
     except (ConfigError, cfm_mod.StreamingMaskError) as exc:
         print(f"error: {exc}", file=sys.stderr)

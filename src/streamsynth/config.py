@@ -141,6 +141,7 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
 def load_config(path=None, overrides: dict[str, str] | None = None) -> RunConfig:
     """Parse `[section]` / `key=value` lines; reject unknown keys, report all."""
     cfg = RunConfig()
+    sections = {f.name for f in fields(cfg)}
     problems: list[str] = []
     entries: list[tuple[str, str, str, str]] = []  # (section, key, value, where)
 
@@ -153,7 +154,7 @@ def load_config(path=None, overrides: dict[str, str] | None = None) -> RunConfig
                 continue
             if line.startswith("[") and line.endswith("]"):
                 section = line[1:-1].strip()
-                if not hasattr(cfg, section):
+                if section not in sections:
                     problems.append(f"line {lineno}: unknown section [{section}]")
                     section = None
                 continue
@@ -168,22 +169,19 @@ def load_config(path=None, overrides: dict[str, str] | None = None) -> RunConfig
 
     for dotted, value in (overrides or {}).items():
         section, _, key = dotted.partition(".")
-        if not hasattr(cfg, section):
+        if section not in sections:
             problems.append(f"override {dotted!r}: unknown section")
             continue
         entries.append((section, key, value, f"override {dotted}"))
 
     for section, key, value, where in entries:
-        sec = getattr(cfg, section, None)
-        if sec is None:
-            continue
-        spec = {f.name: f.type for f in fields(sec)}
-        if key not in spec:
+        sec = getattr(cfg, section)
+        if key not in {f.name for f in fields(sec)}:
             problems.append(f"{where}: unknown key {section}.{key}")
             continue
         kind = type(getattr(sec, key))
         try:
-            parsed = kind(value) if kind is not bool else value.lower() in ("1", "true")
+            parsed = kind(value)
         except ValueError:
             problems.append(f"{where}: {section}.{key} expects {kind.__name__}, "
                             f"got {value!r}")

@@ -1,10 +1,11 @@
 """Preference and ASR-reward fine-tuning for the token LM.
 
-DPO pushes the policy's preferred-vs-rejected log-ratio margin against a
-frozen reference. The differentiable ASR reward recovers generated speech
-tokens into quantized low-rank vectors, re-predicts the input text with a
-frozen toy ASR backend, and uses Gumbel-softmax sampling so the negative
-log posterior can reach the LM parameters.
+DPO pushes the policy's preferred-vs-rejected log-ratio margin against the
+policy's own starting log-probabilities, scored once. The differentiable
+ASR reward recovers generated speech tokens into quantized low-rank
+vectors, re-predicts the input text with a frozen toy ASR backend, and uses
+Gumbel-softmax sampling so the negative log posterior can reach the LM
+parameters.
 """
 
 from __future__ import annotations
@@ -275,31 +276,42 @@ def make_preference_pairs(lm: ToyLM, asr: ToyAsrBackend, texts, motifs,
     return pairs
 
 
-def finetune_dpo(policy: ToyLM, reference: ToyLM, pairs: Sequence[PreferencePair],
-                 steps: int, rng: np.random.Generator, beta_dpo: float = 0.1,
+def finetune_dpo(policy: ToyLM, pairs: Sequence[PreferencePair], steps: int,
+                 rng: np.random.Generator, beta_dpo: float = 0.1,
                  lr: float = 1e-4) -> float:
-    """DPO steps over batches of up to four preference pairs."""
+    """DPO steps over batches of up to four preference pairs.
+
+    The reference is the policy as it stands on entry: each pair's preferred
+    and rejected log-probabilities are scored once, off the tape, before the
+    first step.
+    """
+    if not pairs:
+        raise ValueError("no preference pairs to score")
     vocab = policy.vocab
+    with T.suspend_tape():
+        ref = [(sequence_logprob(policy, vocab, p.context, p.preferred).item(),
+                sequence_logprob(policy, vocab, p.context, p.rejected).item())
+               for p in pairs]
     opt = Adam(policy.parameters(), lr=lr)
     size = min(4, len(pairs))
 
-    def term(pair: PreferencePair) -> Tensor:
-        ref_w = sequence_logprob(reference, vocab, pair.context, pair.preferred)
-        ref_l = sequence_logprob(reference, vocab, pair.context, pair.rejected)
+    def term(i: int) -> Tensor:
+        pair = pairs[i]
         pol_w = sequence_logprob(policy, vocab, pair.context, pair.preferred)
         pol_l = sequence_logprob(policy, vocab, pair.context, pair.rejected)
-        return T.scale(dpo_loss(pol_w, pol_l, ref_w.item(), ref_l.item(), beta_dpo),
-                       1.0 / size)
+        return T.scale(dpo_loss(pol_w, pol_l, *ref[i], beta_dpo), 1.0 / size)
 
     last = float("inf")
     for _ in range(steps):
-        batch = [pairs[i] for i in rng.choice(len(pairs), size=size, replace=False)]
+        batch = rng.choice(len(pairs), size=size, replace=False)
         last = opt.minimize(lambda: functools.reduce(T.add, map(term, batch))).item()
     return last
 
 
 def preference_margin(model: ToyLM, pairs: Sequence[PreferencePair]) -> float:
     """Mean preferred-minus-rejected log-probability margin."""
+    if not pairs:
+        raise ValueError("no preference pairs to score")
     vocab = model.vocab
     total = 0.0
     for pair in pairs:

@@ -226,44 +226,24 @@ def _result(data: np.ndarray,
     return out
 
 
-def _as_operands(a: Tensor, b) -> tuple[Tensor, Tensor]:
-    """Coerce ``b``; only scalar-vs-tensor mixing is allowed beyond same-shape."""
-    if not isinstance(b, Tensor):
-        b = Tensor(np.float64(b))
-    if a.data.shape != b.data.shape and a.data.ndim != 0 and b.data.ndim != 0:
+def _same_shape(a: Tensor, b: Tensor) -> None:
+    if a.data.shape != b.data.shape:
         raise DimensionError(f"elementwise shapes {a.shape} vs {b.shape}")
-    return a, b
 
 
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    # only the scalar-vs-tensor case can land here
-    return np.asarray(g.sum(), dtype=np.float64).reshape(shape)
+def add(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape(a, b)
+    return _result(a.data + b.data, (a, lambda g: g), (b, lambda g: g))
 
 
-def _binary(a: Tensor, b: Tensor, data: np.ndarray,
-            grad_a: Callable[[np.ndarray], np.ndarray],
-            grad_b: Callable[[np.ndarray], np.ndarray]) -> Tensor:
-    """An elementwise op of two operands whose gradients ``grad_a(g)`` and
-    ``grad_b(g)`` are reduced to each operand's shape."""
-    return _result(data, (a, lambda g: _reduce_to(grad_a(g), a.data.shape)),
-                   (b, lambda g: _reduce_to(grad_b(g), b.data.shape)))
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape(a, b)
+    return _result(a.data - b.data, (a, lambda g: g), (b, lambda g: -g))
 
 
-def add(a: Tensor, b) -> Tensor:
-    a, b = _as_operands(a, b)
-    return _binary(a, b, a.data + b.data, lambda g: g, lambda g: g)
-
-
-def sub(a: Tensor, b) -> Tensor:
-    a, b = _as_operands(a, b)
-    return _binary(a, b, a.data - b.data, lambda g: g, lambda g: -g)
-
-
-def mul(a: Tensor, b) -> Tensor:
-    a, b = _as_operands(a, b)
-    return _binary(a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data)
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape(a, b)
+    return _result(a.data * b.data, (a, lambda g: g * b.data), (b, lambda g: g * a.data))
 
 
 def scale(a: Tensor, c: float) -> Tensor:

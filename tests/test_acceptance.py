@@ -438,7 +438,6 @@ def test_criterion_12_dpo():
         policy = rl.clone_frozen_lm(lm)
         for p in policy.parameters():
             p.requires_grad = True
-        reference = rl.clone_frozen_lm(lm)
         prng = np.random.default_rng(7 + seed)
         contexts = [t for t, _ in train_pairs]
         contexts += [[vocab.text_id(int(i))
@@ -448,7 +447,7 @@ def test_criterion_12_dpo():
         held_prefs = rl.make_preference_pairs(policy, asr, held_texts, motifs, prng)
         assert train_prefs and held_prefs
         before = rl.preference_margin(policy, held_prefs)
-        rl.finetune_dpo(policy, reference, train_prefs, steps=500,
+        rl.finetune_dpo(policy, train_prefs, steps=500,
                         rng=np.random.default_rng(8 + seed), beta_dpo=0.1, lr=1e-4)
         after = rl.preference_margin(policy, held_prefs)
         assert after > before, f"seed {seed}: margin {before:.3f} -> {after:.3f}"

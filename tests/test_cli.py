@@ -132,6 +132,42 @@ class TestValidation:
         assert code == 1
         assert err.startswith("error: ") and "taken" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["train", "finetune", "synthesize", "eval"])
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
+    def test_out_file_rejected_before_any_work(self, workspace, tmp_path, capsys,
+                                               monkeypatch, command, under):
+        _, data, runs, _ = workspace
+
+        def reached(*args, **kwargs):
+            raise AssertionError("work ran before --out was checked")
+
+        monkeypatch.setattr(cli.seqlm, "train_lm", reached)
+        monkeypatch.setattr(cli.persist, "load_lm", reached)
+        lm, cfm = ["--lm", runs / "lm.ssyn"], ["--cfm", runs / "cfm.ssyn"]
+        extra = {"train": ["--target", "lm", "--data", data],
+                 "finetune": [*lm, "--data", data, "--objective", "dpo"],
+                 "synthesize": [*lm, *cfm, "--text", "1 2"],
+                 "eval": [*lm, *cfm, "--data", data]}[command]
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"")
+        code = run(command, *extra, "--out", taken / under, *TINY)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{taken} is not a directory" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("spelling", ["override", "file"])
+    @pytest.mark.parametrize("section", ["config_hash", "canonical_lines"])
+    def test_method_name_is_an_unknown_section(self, tmp_path, capsys, spelling, section):
+        if spelling == "override":
+            code = run("bench-latency", "--set", f"{section}.x=1")
+        else:
+            (tmp_path / "c.cfg").write_text(f"[{section}]\nx=1\n")
+            code = run("bench-latency", "--config", tmp_path / "c.cfg")
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "unknown section" in err and section in err and "Traceback" not in err
+        assert "l_tts_formula" not in out
+
     def test_output_file_that_is_a_directory_exits_1(self, tmp_path, capsys):
         (tmp_path / "d" / "corpus.txt").mkdir(parents=True)
         code = run("gen-data", "--out", tmp_path / "d", *TINY)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from streamsynth import rl
 from streamsynth import tensor as T
 from streamsynth.config import load_config
 from streamsynth.fsq import FsqCodec, FsqConfig
+from streamsynth.nn import Adam, param_fingerprint
 from streamsynth.seqlm import (InterleaveConfig, ToyLM, Vocabulary,
                                build_nonstream, build_stream, top_k_sampler, train_lm)
 from streamsynth.tensor import Tape, Tensor
@@ -30,6 +33,45 @@ def world():
     asr = rl.ToyAsrBackend(codec, vocab, rng=np.random.default_rng(4))
     rl.train_asr_backend(asr, pairs, 300, np.random.default_rng(5))
     return vocab, cfg, motifs, pairs, lm, codec, asr
+
+
+@pytest.fixture(scope="module")
+def prefs(world):
+    _, _, motifs, pairs, lm, _, asr = world
+    out = rl.make_preference_pairs(lm, asr, [t for t, _ in pairs[:8]], motifs,
+                                   np.random.default_rng(14))
+    assert len(out) > 4, "too few distinct candidate pairs for a sampled batch"
+    return out
+
+
+def trainable_copy(lm: ToyLM) -> ToyLM:
+    policy = rl.clone_frozen_lm(lm)
+    for p in policy.parameters():
+        p.requires_grad = True
+    return policy
+
+
+def dpo_with_frozen_clone(policy, pairs, steps, rng, beta_dpo, lr) -> float:
+    """DPO as first written: a frozen clone of the starting policy as the
+    reference, re-scored for every pair of every step."""
+    reference = rl.clone_frozen_lm(policy)
+    vocab = policy.vocab
+    opt = Adam(policy.parameters(), lr=lr)
+    size = min(4, len(pairs))
+
+    def term(pair):
+        ref_w = rl.sequence_logprob(reference, vocab, pair.context, pair.preferred)
+        ref_l = rl.sequence_logprob(reference, vocab, pair.context, pair.rejected)
+        pol_w = rl.sequence_logprob(policy, vocab, pair.context, pair.preferred)
+        pol_l = rl.sequence_logprob(policy, vocab, pair.context, pair.rejected)
+        return T.scale(rl.dpo_loss(pol_w, pol_l, ref_w.item(), ref_l.item(), beta_dpo),
+                       1.0 / size)
+
+    last = float("inf")
+    for _ in range(steps):
+        batch = [pairs[i] for i in rng.choice(len(pairs), size=size, replace=False)]
+        last = opt.minimize(lambda: functools.reduce(T.add, map(term, batch))).item()
+    return last
 
 
 class TestDpoLoss:
@@ -246,39 +288,45 @@ class TestFinetuneLoops:
 
     def test_dpo_improves_training_margin(self, world):
         vocab, _, motifs, pairs, lm, _, asr = world
-        policy = rl.clone_frozen_lm(lm)
-        for p in policy.parameters():
-            p.requires_grad = True
-        ref = rl.clone_frozen_lm(lm)
+        policy = trainable_copy(lm)
         prng = np.random.default_rng(12)
         prefs = rl.make_preference_pairs(policy, asr, [t for t, _ in pairs], motifs, prng)
         assert prefs, "sampling produced no distinct candidate pairs"
         before = rl.preference_margin(policy, prefs)
-        rl.finetune_dpo(policy, ref, prefs, steps=60, rng=np.random.default_rng(13),
+        rl.finetune_dpo(policy, prefs, steps=60, rng=np.random.default_rng(13),
                         beta_dpo=0.1, lr=3e-4)
         after = rl.preference_margin(policy, prefs)
         assert after > before
 
-    def test_reference_model_untouched_by_dpo(self, world):
-        vocab, _, motifs, pairs, lm, _, asr = world
-        policy = rl.clone_frozen_lm(lm)
-        for p in policy.parameters():
-            p.requires_grad = True
-        ref = rl.clone_frozen_lm(lm)
-        from streamsynth.nn import param_fingerprint
-        fp = param_fingerprint(ref.parameters())
-        prefs = rl.make_preference_pairs(policy, asr, [t for t, _ in pairs[:6]],
-                                         motifs, np.random.default_rng(14))
-        if prefs:
-            rl.finetune_dpo(policy, ref, prefs, steps=10,
-                            rng=np.random.default_rng(15))
-        assert param_fingerprint(ref.parameters()) == fp
+    def test_dpo_matches_a_frozen_reference_rescored_every_step(self, world, prefs):
+        *_, lm, _, _ = world
+        old, new = trainable_copy(lm), trainable_copy(lm)
+        want = dpo_with_frozen_clone(old, prefs, 5, np.random.default_rng(15), 0.1, 3e-4)
+        got = rl.finetune_dpo(new, prefs, 5, np.random.default_rng(15), 0.1, 3e-4)
+        assert got == want
+        assert param_fingerprint(new.parameters()) == param_fingerprint(old.parameters())
+
+    def test_dpo_scores_each_reference_once(self, world, prefs, monkeypatch):
+        *_, lm, _, _ = world
+        calls = []
+        score = rl.sequence_logprob
+        monkeypatch.setattr(rl, "sequence_logprob",
+                            lambda *args: calls.append(1) or score(*args))
+        steps = 3
+        rl.finetune_dpo(trainable_copy(lm), prefs, steps, np.random.default_rng(16))
+        assert len(calls) == 2 * len(prefs) + 2 * min(4, len(prefs)) * steps
+
+    def test_no_pairs_is_a_value_error_before_any_work(self, world, monkeypatch):
+        *_, lm, _, _ = world
+        monkeypatch.setattr(rl, "sequence_logprob", None)  # any scoring would fail
+        with pytest.raises(ValueError, match="no preference pairs"):
+            rl.finetune_dpo(trainable_copy(lm), [], 3, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="no preference pairs"):
+            rl.preference_margin(lm, [])
 
     def test_asr_finetune_keeps_backend_frozen(self, world):
         vocab, _, _, pairs, lm, _, asr = world
-        policy = rl.clone_frozen_lm(lm)
-        for p in policy.parameters():
-            p.requires_grad = True
+        policy = trainable_copy(lm)
         fp = asr.fingerprint()
         rl.finetune_asr(policy, asr, [t for t, _ in pairs[:6]], steps=5,
                         rng=np.random.default_rng(16))
