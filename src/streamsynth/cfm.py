@@ -13,12 +13,16 @@ application; it trains and samples offline but does not stream.
 
 Classifier-free guidance runs its conditional and unconditional passes as
 one estimator call per Euler step, over both passes' rows stacked behind a
-block-diagonal attention mask, planned once per integration.
+block-diagonal attention mask. The mask's plan and the condition columns of
+the estimator input are built once per integration; each Euler step writes
+only the state and time columns.
 
 Streaming keeps state between chunks: an emitted frame is final at every
-Euler step, CFG pass and estimator block, so its keys and values there are
-kept, and each chunk integrates only the frames it completed, once, against
-them. Offline sampling is the same integrator run once over all frames.
+alignment block, Euler step, CFG pass and estimator block, so its keys and
+values there are kept. Each chunk computes the token conditions of the
+frames it completed and integrates them, once, against those keys; its work
+follows its own frames, not all frames so far. Offline sampling and training
+are the same code run once over all frames with nothing cached.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -128,12 +132,16 @@ class MaskSpec:
         return (i // self.chunk + step) * self.chunk - 1
 
 
-def build_mask(spec: MaskSpec, length: int) -> np.ndarray:
+def build_mask(spec: MaskSpec, length: int, start: int = 0) -> np.ndarray:
+    """Rows ``start:length`` of the [length, length] attention mask: a row's
+    window does not depend on how many rows follow it."""
     if length < 1:
         raise ValueError("mask length must be >= 1")
+    if not 0 <= start < length:
+        raise ValueError(f"mask rows {start}:{length} are empty")
     if spec.kind is MaskKind.NON_CAUSAL:
-        return np.ones((length, length), dtype=bool)
-    return np.arange(length)[None, :] <= spec.row_horizon(np.arange(length)[:, None])
+        return np.ones((length - start, length), dtype=bool)
+    return np.arange(length)[None, :] <= spec.row_horizon(np.arange(start, length)[:, None])
 
 
 def ot_path(x0: FeatureSeq, x1: FeatureSeq, t: float) -> FeatureSeq:
@@ -196,8 +204,7 @@ class CfmModel(Module):
                              for _ in range(c.n_align_blocks)]
         # aligned features plus the raw upsampled embedding: the estimator
         # sees the tokens both through the causal stack and directly
-        self.cond_width = c.hidden + c.token_embed
-        est_in = c.n_features + c.time_dim + self.cond_width + c.speaker_dim \
+        est_in = c.n_features + c.time_dim + c.hidden + c.token_embed + c.speaker_dim \
             + c.n_features
         self.est_in = Linear(rng, est_in, c.hidden, std=0.2)
         self.est_blocks = [TransformerBlock(rng, c.hidden, std=0.1)
@@ -205,76 +212,107 @@ class CfmModel(Module):
         self.est_norm = LayerNorm(c.hidden)
         self.est_out = Linear(rng, c.hidden, c.n_features, std=0.1)
 
-    def token_conditions(self, tokens: Sequence[int], mask: np.ndarray) -> Tensor:
-        """Per-frame token features: conv, upsample, masked attention, plus a
-        direct copy of the upsampled embedding. ``mask`` is planned once for
-        all alignment blocks."""
-        mask = T.AttentionPlan(mask)
-        emb = T.embedding_lookup(self.token_embed, tokens)
+    def token_conditions(self, tokens: Sequence[int], mask,
+                         kv: list[list[np.ndarray]] | None = None) -> Tensor:
+        """Token features of frames start:stop: conv, upsample, masked
+        attention, plus a direct copy of the upsampled embedding.
+
+        ``mask`` is those frames' rows of the attention mask, [stop - start,
+        stop], planned once here for all alignment blocks. The look-ahead
+        conv and ``token_proj`` run only over the tokens the frames need,
+        ``start // UPSAMPLE`` up to ``ceil(stop / UPSAMPLE) + P``, reading
+        zeros past the end of ``tokens``. Frames before ``start`` enter only
+        through ``kv``, one [K, V] per alignment block (see
+        :meth:`TransformerBlock.__call__`), which the call extends by frames
+        start:stop; without it ``start`` is 0. Each row has the bytes of that
+        row of the one-shot call over all frames.
+        """
+        plan = T.AttentionPlan(mask)
+        stop = plan.shape[1]
+        start = stop - plan.shape[0]
+        first = start // UPSAMPLE
+        emb = T.embedding_lookup(
+            self.token_embed, tokens[first : -(-stop // UPSAMPLE) + self.config.lookahead])
         conv = T.conv1d_right_padded(emb, self.conv_kernel, self.config.lookahead)
         feats = T.relu(self.token_proj(conv, row_stable=True))
-        up_ids = np.repeat(np.arange(len(tokens)), UPSAMPLE)
+        up_ids = np.arange(start, stop) // UPSAMPLE - first
         x = T.take_rows(feats, up_ids)
-        for block in self.align_blocks:
-            x = block(x, mask, row_stable=True)
+        for b, block in enumerate(self.align_blocks):
+            x = block(x, plan, row_stable=True, kv=None if kv is None else kv[b])
         return T.concat_cols([x, T.take_rows(emb, up_ids)])
 
     def field(self, state: Tensor, t: float, cond: ConditionSet, mask,
-              token_feats: Tensor | None = None, unconditional: bool = False,
-              kv: list[list[np.ndarray]] | None = None, guided: bool = False) -> Tensor:
+              unconditional: bool = False, kv: list[list[np.ndarray]] | None = None,
+              columns: np.ndarray | None = None) -> Tensor:
         """Estimated velocity for every frame of ``state`` at time ``t``.
 
         ``mask`` is a bool array or, planned once for all estimator blocks,
         its :class:`~streamsynth.tensor.AttentionPlan`. ``state`` holds the
         last rows of the mask.shape[1] frames the mask spans. Earlier frames
         enter only through ``kv``, one [K, V] per estimator block (see
-        :meth:`TransformerBlock.__call__`), and then ``token_feats`` must
-        cover just the rows of ``state``; without ``kv`` they default to the
-        token conditions under the conditional pass's own mask, the first L
-        rows and columns of ``mask``.
+        :meth:`TransformerBlock.__call__`).
 
-        With ``unconditional`` every condition (token features, speaker and
-        reference) is zero. With ``guided`` the call runs both CFG passes at
-        once: the rows of ``state`` conditional, then again unconditional,
-        and returns the 2L rows in that order. ``mask`` then has those 2L
-        rows over both passes' keys, and each pass's frames count once in
-        mask.shape[1]. No gradient reaches ``state`` through unconditional
-        rows, nor ``state`` or the conditions through a guided call.
+        ``columns`` is the estimator input that :func:`_input_columns` made
+        for the rows of ``state``, its condition columns filled; the call
+        writes the state and time columns into it. Its rows are those of
+        ``state`` conditional and, for a call of both CFG passes, then the
+        same rows unconditional; the call returns its rows in that order.
+        ``mask`` then has those 2L rows over both passes' keys, and each
+        pass's frames count once in mask.shape[1]. No gradient reaches
+        ``state`` or the conditions through ``columns``.
+
+        Without ``columns`` the call assembles the input of one pass itself,
+        as training does, from all of ``mask``'s frames: the token conditions
+        under ``mask``, the speaker and the reference, taped so that a
+        gradient reaches them and ``state``. With ``unconditional`` every
+        condition is zero and no gradient reaches ``state``.
         """
+        nf, td = self.config.n_features, self.config.time_dim
         length = state.data.shape[0]
-        start = mask.shape[1] // (2 if guided else 1) - length
-        t_rows = Tensor(np.tile(_time_embedding(t, self.config.time_dim), (length, 1)))
-        if unconditional:
-            inp = Tensor(self._blank_rows(state, t_rows))
-        else:
-            cond_feats = token_feats if token_feats is not None \
-                else self.token_conditions(cond.tokens, np.asarray(mask)[:length, :length])
-            if cond_feats.data.shape[0] != length:
+        if columns is None and not unconditional:
+            if UPSAMPLE * len(cond.tokens) != length:
                 raise T.DimensionError("token conditions do not cover the state length")
-            v_rows = Tensor(np.tile(cond.v, (length, 1)))
-            ref = Tensor(_ref_rows(cond.masked_ref.frames, start, start + length,
-                                   self.config.n_features))
-            inp = T.concat_cols([state, t_rows, cond_feats, v_rows, ref])
-        if guided:  # then the unconditional pass: the same rows, conditions zeroed
-            inp = Tensor(np.concatenate([inp.data, self._blank_rows(state, t_rows)]))
+            t_rows = Tensor(np.tile(_time_embedding(t, td), (length, 1)))
+            feats = self.token_conditions(cond.tokens, mask)
+            inp = T.concat_cols([state, t_rows, *_condition_columns(self, cond, feats, 0)])
+        else:
+            if columns is None:
+                columns = np.zeros((length, self.est_in.w.data.shape[0]))
+            rows = columns.reshape(-1, length, columns.shape[1])
+            rows[:, :, :nf] = state.data
+            rows[:, :, nf : nf + td] = _time_embedding(t, td)
+            inp = Tensor(columns)
         x = T.relu(self.est_in(inp, row_stable=True))
         for b, block in enumerate(self.est_blocks):
             x = block(x, mask, row_stable=True, kv=None if kv is None else kv[b])
         return self.est_out(self.est_norm(x), row_stable=True)
 
-    def _blank_rows(self, state: Tensor, t_rows: Tensor) -> np.ndarray:
-        """Estimator input rows of the unconditional pass: ``state`` and the
-        time rows, then every condition column zero."""
-        width = self.cond_width + self.config.speaker_dim + self.config.n_features
-        return np.concatenate([state.data, t_rows.data, np.zeros((len(state.data), width))],
-                              axis=1)
+
+def _condition_columns(model: CfmModel, cond: ConditionSet, token_feats: Tensor,
+                       start: int) -> list[Tensor]:
+    """The condition columns of the estimator input for frames
+    start:start+L, L being the rows of ``token_feats``: the token features,
+    the speaker vector on every row, and the reference rows, zero past the
+    reference's end."""
+    length = token_feats.data.shape[0]
+    ref = np.zeros((length, model.config.n_features))
+    have = cond.masked_ref.frames[start : start + length]
+    ref[: len(have)] = have
+    return [token_feats, Tensor(np.tile(cond.v, (length, 1))), Tensor(ref)]
 
 
-def _ref_rows(ref: np.ndarray, start: int, stop: int, n_features: int) -> np.ndarray:
-    """Reference rows start:stop, padded with zeros past the reference's end."""
-    out = np.zeros((stop - start, n_features))
-    have = ref[start:stop]
-    out[: len(have)] = have
+def _input_columns(model: CfmModel, cond: ConditionSet, token_feats: Tensor, start: int,
+                   guided: bool) -> np.ndarray:
+    """The estimator input for frames start:start+L with its condition
+    columns (:func:`_condition_columns`) filled, built once per package for
+    all of its Euler steps: the conditional pass's rows, then for ``guided``
+    the unconditional pass's, whose conditions are zero. Its state and time
+    columns are left for :meth:`CfmModel.field` to write."""
+    conds = np.concatenate([c.data for c in _condition_columns(model, cond, token_feats, start)],
+                           axis=1)
+    length, lead = len(conds), model.config.n_features + model.config.time_dim
+    out = np.zeros(((2 if guided else 1) * length, lead + conds.shape[1]))
+    out[:length, lead:] = conds
     return out
 
 
@@ -325,7 +363,9 @@ def cfg_field(model: CfmModel, state: Tensor, t: float, cond: ConditionSet,
     makes the same call against cached keys (see :func:`_integrate`).
     """
     _check_beta(beta)
-    return _guided_field(model, state, t, cond, beta, _estimator_plan(mask, beta), token_feats)
+    feats = token_feats if token_feats is not None else model.token_conditions(cond.tokens, mask)
+    return _guided_field(model, state, t, cond, beta, _estimator_plan(mask, beta),
+                         _input_columns(model, cond, feats, 0, beta > 0.0))
 
 
 def _estimator_plan(mask: np.ndarray, beta: float,
@@ -345,14 +385,14 @@ def _estimator_plan(mask: np.ndarray, beta: float,
 
 
 def _guided_field(model: CfmModel, state: Tensor, t: float, cond: ConditionSet, beta: float,
-                  plan: T.AttentionPlan, token_feats: Tensor | None = None,
-                  kv: list | None = None) -> Tensor:
-    """:func:`cfg_field` under the plan :func:`_estimator_plan` made."""
+                  plan: T.AttentionPlan, columns: np.ndarray, kv: list | None = None) -> Tensor:
+    """:func:`cfg_field` under the plan :func:`_estimator_plan` made, over the
+    input :func:`_input_columns` made."""
+    out = model.field(state, t, cond, plan, kv=kv, columns=columns)
     if beta == 0.0:
-        return model.field(state, t, cond, plan, token_feats=token_feats, kv=kv)
+        return out
     length = state.data.shape[0]
-    both = model.field(state, t, cond, plan, token_feats=token_feats, kv=kv, guided=True).data
-    return Tensor(both[:length] * (1.0 + beta) - both[length:] * beta)
+    return Tensor(out.data[:length] * (1.0 + beta) - out.data[length:] * beta)
 
 
 def _check_beta(beta: float) -> None:
@@ -372,33 +412,44 @@ def _frame_noise(seed: int, start: int, stop: int, n_features: int) -> np.ndarra
     return out
 
 
+class _KvCache(NamedTuple):
+    """Keys and values of a stream's emitted frames, kept across its
+    packages (see :func:`stream_generate`)."""
+
+    align: list[list[np.ndarray]]  # one [K, V] per alignment block
+    estimator: list[list[list[np.ndarray]]]  # per Euler step, one [K, V] per estimator block
+
+
 def _integrate(model: CfmModel, cond: ConditionSet, edges: Sequence[int], nfe: int,
-               beta: float, spec: MaskSpec, seed: int, cache: list | None = None) -> np.ndarray:
+               beta: float, spec: MaskSpec, seed: int, cache: _KvCache | None = None) -> np.ndarray:
     """Euler-integrate frames start:stop of the UPSAMPLE x len(cond.tokens)
     frames, ``start`` and ``stop`` being the last two of ``edges``.
 
     No frame before ``stop`` may attend to a frame at or past it under
     ``spec``. Frames before ``start`` must be final, with their keys and
-    values in ``cache``: one [K, V] per (step, estimator block) holding both
-    CFG passes, to which this call appends those of frames start:stop. The
-    keys came in packages, frames a:b for each pair of ``edges``, each
-    package's conditional keys before its unconditional ones.
+    values in ``cache``, to which this call appends those of frames
+    start:stop: at each alignment block, and at each (Euler step, estimator
+    block) for both CFG passes. The estimator keys came in packages, frames
+    a:b for each pair of ``edges``, each package's conditional keys before
+    its unconditional ones.
 
-    The estimator's mask for the package, stacked over both passes and
-    key-ordered, and its attention plan are built once, and every Euler
-    step's estimator blocks reuse them.
+    The package's mask rows, [stop - start, stop], its token conditions and
+    the condition columns of its estimator input are built once. So are the
+    estimator's mask, stacked over both passes and key-ordered, and its
+    attention plan, which every Euler step's estimator blocks reuse.
     """
     start, stop = edges[-2:]
-    mask = build_mask(spec, UPSAMPLE * len(cond.tokens))
-    token_feats = Tensor(model.token_conditions(cond.tokens, mask).data[start:stop])
+    mask = build_mask(spec, stop, start)
+    token_feats = model.token_conditions(cond.tokens, mask,
+                                         kv=None if cache is None else cache.align)
+    columns = _input_columns(model, cond, token_feats, start, beta > 0.0)
     keys = np.concatenate([np.r_[a:b, stop + a:stop + b] for a, b in zip(edges, edges[1:])])
-    plan = _estimator_plan(mask[start:stop, :stop], beta, keys)
+    plan = _estimator_plan(mask, beta, keys)
     x = _frame_noise(seed, start, stop, model.config.n_features)
     grid = [cosine_schedule(k / nfe) for k in range(nfe + 1)]
     for k in range(nfe):
-        state = Tensor(x)
-        vel = _guided_field(model, state, grid[k], cond, beta, plan, token_feats,
-                            cache[k] if cache else None)
+        vel = _guided_field(model, Tensor(x), grid[k], cond, beta, plan, columns,
+                            None if cache is None else cache.estimator[k])
         x = x + (grid[k + 1] - grid[k]) * vel.data
     return x
 
@@ -441,16 +492,17 @@ def stream_generate(model: CfmModel, token_chunks: Iterable[Sequence[int]],
 
     The call keeps one piece of state across packages: the package
     boundaries ``edges``, whose last is the emitted frontier ``done``, and,
-    for every frame before ``done``, its keys and values at each (Euler
-    step, estimator block), both CFG passes' in the order their packages
-    came (see :func:`_integrate`). Each package integrates only the frames
-    it completed, ``done:safe``, once, against that state, which only
-    grows. The token conditions are recomputed over all received tokens.
-    Each package plans its estimator mask once (see :func:`_integrate`).
-    The state is nfe x n_estimator_blocks [K, V] pairs, each of
-    [2 x done, hidden] float64 rows (one pass's rows under ``beta == 0``);
-    at 192 frames and the default config (nfe 10, 3 blocks, hidden 24)
-    that is 4.4 MB.
+    for every frame before ``done``, its keys and values (see
+    :func:`_integrate`) at each alignment block and at each (Euler step,
+    estimator block), both CFG passes' there in the order their packages
+    came. Each package computes the token conditions of the frames it
+    completed, ``done:safe``, and integrates them, once, against that state,
+    which only grows; it builds its mask rows, estimator plan and condition
+    columns once. The state is n_align_blocks [K, V] pairs of [done, hidden]
+    float64 rows, and nfe x n_estimator_blocks pairs of [2 x done, hidden]
+    rows (one pass's under ``beta == 0``). At 192 frames and the default
+    config (2 alignment blocks, nfe 10, 3 estimator blocks, hidden 24) that
+    is 0.15 MB for the alignment blocks and 4.4 MB for the estimator.
     """
     spec = spec if spec is not None else MaskSpec(MaskKind.CHUNK)
     if spec.kind not in (MaskKind.FULL_CAUSAL, MaskKind.CHUNK):
@@ -463,7 +515,8 @@ def stream_generate(model: CfmModel, token_chunks: Iterable[Sequence[int]],
     received: list[int] = []
     edges = [0]  # package boundaries; the last is the emitted frontier
     empty = np.zeros((0, model.config.hidden))
-    cache = [[[empty, empty] for _ in model.est_blocks] for _ in range(nfe)]
+    cache = _KvCache([[empty, empty] for _ in model.align_blocks],
+                     [[[empty, empty] for _ in model.est_blocks] for _ in range(nfe)])
     for chunk in itertools.chain(token_chunks, [None]):  # None: the input has ended
         if chunk is None:
             safe = UPSAMPLE * len(received)

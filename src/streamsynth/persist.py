@@ -24,15 +24,26 @@ def _restore(model, params: dict[str, np.ndarray]) -> None:
         arr = params[f"p{i:03d}"]
         if arr.shape != p.data.shape:
             raise ValueError(f"parameter p{i:03d} shape {arr.shape} != {p.data.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"parameter p{i:03d} holds a non-finite value")
         p.data = arr.astype(np.float64).copy()
 
 
-def _load(path, module: str, build):
-    """The model ``build(metadata)`` makes, with the parameters saved in ``path``."""
+def _load(path, module: str, values, build):
+    """The model ``build(metadata)`` makes, with the parameters saved in ``path``.
+
+    ``values(metadata)`` is the number of parameter values that model has.
+    It must equal the number the header's shapes hold, which the file's size
+    bounds, before ``build`` allocates anything.
+    """
     found, params, meta = load_checkpoint(path)
     if found != module:
         raise CheckpointError(f"{path}: checkpoint holds {found}, not {module}")
     try:
+        implied, held = values(meta), sum(arr.size for arr in params.values())
+        if implied != held:
+            raise ValueError(f"metadata implies {implied} parameter values, "
+                             f"the header's shapes hold {held}")
         model = build(meta)
         _restore(model, params)
     except KeyError as exc:
@@ -40,6 +51,12 @@ def _load(path, module: str, build):
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     return model
+
+
+def _block_values(dim: int) -> int:
+    """Parameter values of a TransformerBlock: two norms, four dim x dim
+    layers and the 4 x dim MLP, biases included."""
+    return 12 * dim * dim + 13 * dim
 
 
 def save_lm(path, model: ToyLM) -> None:
@@ -54,9 +71,17 @@ def save_lm(path, model: ToyLM) -> None:
 
 
 def load_lm(path) -> ToyLM:
-    return _load(path, "seqlm.ToyLM", lambda meta: ToyLM(
-        Vocabulary(int(meta["speech_size"]), int(meta["text_size"])),
-        dim=int(meta["dim"]), n_blocks=int(meta["n_blocks"]), max_len=int(meta["max_len"])))
+    def vocab(meta) -> Vocabulary:
+        return Vocabulary(int(meta["speech_size"]), int(meta["text_size"]))
+
+    def values(meta) -> int:  # embedding, positions, blocks, final norm, head
+        size, dim = vocab(meta).size, int(meta["dim"])
+        return (2 * size + int(meta["max_len"])) * dim \
+            + int(meta["n_blocks"]) * _block_values(dim) + 2 * dim + size
+
+    return _load(path, "seqlm.ToyLM", values, lambda meta: ToyLM(
+        vocab(meta), dim=int(meta["dim"]), n_blocks=int(meta["n_blocks"]),
+        max_len=int(meta["max_len"])))
 
 
 def save_cfm(path, model: CfmModel) -> None:
@@ -65,8 +90,18 @@ def save_cfm(path, model: CfmModel) -> None:
 
 
 def load_cfm(path) -> CfmModel:
-    return _load(path, "cfm.CfmModel", lambda meta: CfmModel(CfmConfig(**{
-        f.name: type(f.default)(meta[f.name]) for f in fields(CfmConfig)})))
+    def config(meta) -> CfmConfig:
+        return CfmConfig(**{f.name: type(f.default)(meta[f.name]) for f in fields(CfmConfig)})
+
+    def values(meta) -> int:  # embedding, conv, projection, blocks, estimator in/out
+        c = config(meta)
+        e, h, f = c.token_embed, c.hidden, c.n_features
+        est_in = 2 * f + c.time_dim + h + e + c.speaker_dim
+        return c.token_vocab * e + c.lookahead + 1 + (e + 1) * h \
+            + (c.n_align_blocks + c.n_estimator_blocks) * _block_values(h) \
+            + (est_in + 1) * h + 2 * h + (h + 1) * f
+
+    return _load(path, "cfm.CfmModel", values, lambda meta: CfmModel(config(meta)))
 
 
 def save_codec(path, codec: FsqCodec) -> None:
@@ -76,5 +111,9 @@ def save_codec(path, codec: FsqCodec) -> None:
 
 
 def load_codec(path) -> FsqCodec:
-    return _load(path, "fsq.FsqCodec", lambda meta: FsqCodec(
+    def values(meta) -> int:  # the two projections
+        d, hidden = int(meta["d"]), int(meta["hidden"])
+        return 2 * d * hidden + d + hidden
+
+    return _load(path, "fsq.FsqCodec", values, lambda meta: FsqCodec(
         FsqConfig(int(meta["d"]), int(meta["k"])), hidden=int(meta["hidden"])))

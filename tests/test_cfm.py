@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from streamsynth.cfm import (CfmConfig, CfmModel, ConditionSet, FeatureSeq, Mask
                              MaskSpec, build_mask, cfg_field, cosine_schedule,
                              energy_distance, ot_path, sample, stream_generate,
                              target_field, training_step)
+from streamsynth.nn import TransformerBlock
 from streamsynth.tensor import Tape, Tensor
 
 SMALL = CfmConfig(n_features=4, token_vocab=40, token_embed=6, hidden=10,
@@ -113,6 +115,16 @@ class TestMasks:
             assert not (chunk & ~chunk2).any()
             assert not (chunk2 & ~full).any()
 
+    def test_rows_from_start_are_rows_of_the_square(self):
+        for kind in MaskKind:
+            for length in range(1, 20):
+                square = build_mask(MaskSpec(kind, chunk=3), length)
+                for start in range(length):
+                    rows = build_mask(MaskSpec(kind, chunk=3), length, start)
+                    assert np.array_equal(rows, square[start:])
+        with pytest.raises(ValueError):
+            build_mask(MaskSpec(MaskKind.CHUNK, chunk=3), 4, 4)
+
     def test_chunk_validation(self):
         with pytest.raises(ValueError):
             MaskSpec(MaskKind.CHUNK, chunk=0)
@@ -135,15 +147,17 @@ class TestCfgField:
         class Wired:
             config = SMALL
 
-            def field(self, state, t, cond, mask, token_feats=None,
-                      unconditional=False, kv=None, guided=False):
+            def field(self, state, t, cond, mask, unconditional=False, kv=None,
+                      columns=None):
                 # one call for both passes: conditional rows over unconditional ones
-                assert guided and mask.shape == (6, 6)
+                assert len(columns) == 6 and mask.shape == (6, 6)
                 return Tensor(np.concatenate([np.ones(state.data.shape),
                                               np.zeros(state.data.shape)]))
 
         state = Tensor(np.zeros((3, SMALL.n_features)))
-        out = cfg_field(Wired(), state, 0.1, None, 0.7, np.ones((3, 3), dtype=bool))
+        feats = Tensor(np.zeros((3, SMALL.hidden + SMALL.token_embed)))
+        out = cfg_field(Wired(), state, 0.1, conditions(np.random.default_rng(0), 2), 0.7,
+                        np.ones((3, 3), dtype=bool), token_feats=feats)
         assert np.allclose(out.data, 1.7, atol=1e-15)
 
     def test_affine_identity_in_beta(self):
@@ -191,13 +205,11 @@ class TestCfgField:
                             FeatureSeq(rng.normal(size=(ref_len, SMALL.n_features))))
         length = cfm.UPSAMPLE * len(tokens)
         mask = build_mask(spec, length)
-        feats = model.token_conditions(tokens, mask)
         x = cfm._frame_noise(seed, 0, length, SMALL.n_features)
         grid = [cosine_schedule(k / nfe) for k in range(nfe + 1)]
         for k in range(nfe):
             state = Tensor(x)
-            vel = T.sub(T.scale(model.field(state, grid[k], cond, mask, token_feats=feats),
-                                1.0 + beta),
+            vel = T.sub(T.scale(model.field(state, grid[k], cond, mask), 1.0 + beta),
                         T.scale(model.field(state, grid[k], cond, mask, unconditional=True),
                                 beta))
             if k == 0:
@@ -317,11 +329,11 @@ class TestSampling:
         class Wired:
             config = SMALL
 
-            def token_conditions(self, tokens, mask):
+            def token_conditions(self, tokens, mask, kv=None):
                 return Tensor(np.zeros((2 * len(tokens), SMALL.hidden)))
 
-            def field(self, state, t, cond, mask, token_feats=None,
-                      unconditional=False, kv=None):
+            def field(self, state, t, cond, mask, unconditional=False, kv=None,
+                      columns=None):
                 return Tensor(np.full(state.data.shape, 2.5))
 
         rng = np.random.default_rng(0)
@@ -507,6 +519,63 @@ class TestStreaming:
         calls_per_row = 2 * 2 * config.n_estimator_blocks  # step x pass x block
         assert sum(rows) == calls_per_row * 30
 
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from([MaskKind.FULL_CAUSAL, MaskKind.CHUNK]),
+           chunk=st.integers(1, 12), beta=st.sampled_from([0.0, 0.7]),
+           sizes=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+           seed=st.integers(0, 2**16))
+    def test_package_token_conditions_are_rows_of_one_shot(self, kind, chunk, beta, sizes,
+                                                           seed):
+        # each package computes only its own frames' token conditions,
+        # against the cached alignment keys, with the one-shot call's bytes
+        rng = np.random.default_rng(seed)
+        model = STREAM_MODEL
+        spec = MaskSpec(kind, chunk=chunk)
+        tokens = [int(t) for t in rng.integers(0, SMALL.token_vocab, sum(sizes))]
+        packages = []
+        token_conditions = CfmModel.token_conditions
+
+        def recording(self, *args, **kwargs):
+            out = token_conditions(self, *args, **kwargs)
+            packages.append((np.shape(args[1]), out.data.copy()))
+            return out
+
+        ends = np.cumsum(sizes)
+        with mock.patch.object(CfmModel, "token_conditions", recording):
+            list(stream_generate(model, (tokens[e - n : e] for n, e in zip(sizes, ends)),
+                                 rng.normal(size=SMALL.speaker_dim),
+                                 FeatureSeq(np.zeros((0, SMALL.n_features))), nfe=1,
+                                 beta=beta, spec=spec, seed=seed))
+        whole = model.token_conditions(tokens, build_mask(spec, 2 * len(tokens))).data
+        done = 0
+        for (rows, stop), feats in packages:
+            assert stop - rows == done
+            assert feats.tobytes() == whole[done:stop].tobytes()
+            done = stop
+        assert done == len(whole)
+
+    def test_alignment_blocks_see_each_frame_once(self):
+        # one 3-token chunk per package: each alignment block runs over every
+        # frame exactly once, in the package that completes it
+        model = STREAM_MODEL
+        rows = {id(block): 0 for block in model.align_blocks}
+        call = TransformerBlock.__call__
+
+        def counting(self, x, *args, **kwargs):
+            if id(self) in rows:
+                rows[id(self)] += x.data.shape[0]
+            return call(self, x, *args, **kwargs)
+
+        rng = np.random.default_rng(21)
+        tokens = [int(t) for t in rng.integers(0, SMALL.token_vocab, 15)]
+        with mock.patch.object(TransformerBlock, "__call__", counting):
+            parts = list(stream_generate(model, (tokens[i : i + 3] for i in range(0, 15, 3)),
+                                         rng.normal(size=SMALL.speaker_dim),
+                                         FeatureSeq(np.zeros((0, SMALL.n_features))),
+                                         nfe=2, beta=0.7, spec=MaskSpec(MaskKind.CHUNK, 4)))
+        assert len(parts) > 3
+        assert list(rows.values()) == [30] * SMALL.n_align_blocks
+
     @pytest.mark.parametrize("beta", [0.0, 0.7])
     def test_one_field_call_per_euler_step(self, beta, monkeypatch):
         # both CFG passes share one estimator call, and the stream keeps one
@@ -515,7 +584,7 @@ class TestStreaming:
         field = CfmModel.field
 
         def counting(self, *args, **kwargs):
-            calls.append(kwargs.get("guided", False))
+            calls.append(len(kwargs["columns"]) == 2 * len(args[0].data))
             for pair in kwargs.get("kv") or ():
                 pairs[id(pair)] = pair
             return field(self, *args, **kwargs)

@@ -355,6 +355,34 @@ class TestSynthesize:
         assert code == 1
         assert "nodim.ssyn" in err and "dim" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("key,value", [("max_len", "1000000000000000"), ("dim", "-4")])
+    def test_checkpoint_sizes_past_the_file_exit_cleanly(self, workspace, tmp_path, capsys,
+                                                         key, value):
+        _, _, runs, text = workspace
+        module, params, meta = load_checkpoint(runs / "lm.ssyn")
+        extra = {k: v for k, v in meta.items() if k != "module" and not k.startswith("shape.")}
+        extra[key] = value
+        save_checkpoint(tmp_path / "huge.ssyn", module, list(params.items()), extra)
+        code = run("synthesize", "--lm", tmp_path / "huge.ssyn", "--cfm", runs / "cfm.ssyn",
+                   "--text", text, "--set", "cfm.nfe=2", "--out", tmp_path / "o", *TINY)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "huge.ssyn: metadata implies" in err and "Traceback" not in err
+
+    def test_non_finite_checkpoint_exits_cleanly(self, workspace, tmp_path, capsys):
+        _, _, runs, text = workspace
+        module, params, meta = load_checkpoint(runs / "lm.ssyn")
+        extra = {k: v for k, v in meta.items() if k != "module" and not k.startswith("shape.")}
+        params["p002"] = params["p002"].copy()
+        params["p002"][0] = np.nan
+        save_checkpoint(tmp_path / "nan.ssyn", module, list(params.items()), extra)
+        code = run("synthesize", "--lm", tmp_path / "nan.ssyn", "--cfm", runs / "cfm.ssyn",
+                   "--text", text, "--set", "cfm.nfe=2", "--out", tmp_path / "o", *TINY)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "nan.ssyn: parameter p002 holds a non-finite value" in err
+        assert "Traceback" not in err
+
     def test_bad_feature_file_exits_cleanly(self, workspace, tmp_path, capsys):
         _, data, _, _ = workspace
         bad = tmp_path / "data"

@@ -298,9 +298,10 @@ class TestWorkCounts:
         counts.update(_result=0, _product=0, matmul=0)
         cfm.cfg_field(model, Tensor(rng.normal(size=(8, 4))), 0.3, cond, 0.7, mask,
                       token_feats=feats)
-        # input concat, est_in, relu; per block 12 as in the LM without a
-        # cache; final norm and est_out
-        assert counts == {"_result": 3 + 3 * 12 + 2, "_product": 1 + 3 * 6 + 1,
+        # est_in and relu, the input being written into one buffer by no
+        # primitive; per block 12 as in the LM without a cache; final norm
+        # and est_out
+        assert counts == {"_result": 2 + 3 * 12 + 2, "_product": 1 + 3 * 6 + 1,
                           "matmul": 1 + 3 * 6 + 1}
 
 
@@ -409,4 +410,54 @@ class TestModelPersistence:
         path = tmp_path / "fsq.ssyn"
         save_codec(path, codec)
         with pytest.raises(ValueError):
+            load_lm(path)
+
+    @pytest.mark.parametrize("blocks", [(0, 1), (1, 0), (2, 3)])
+    def test_cfm_block_counts_checked_before_building(self, tmp_path, blocks):
+        # the sizes the metadata implies match the model at any block count,
+        # and one block more than the file holds is named before building
+        cfg = cfm.CfmConfig(n_features=3, token_vocab=10, token_embed=4, hidden=8,
+                            speaker_dim=3, lookahead=2, time_dim=6,
+                            n_align_blocks=blocks[0], n_estimator_blocks=blocks[1])
+        model = cfm.CfmModel(cfg, np.random.default_rng(2))
+        path = tmp_path / "cfm.ssyn"
+        save_cfm(path, model)
+        back = load_cfm(path)
+        assert param_fingerprint(back.parameters()) == param_fingerprint(model.parameters())
+        module, params, meta = load_checkpoint(path)
+        meta["n_align_blocks"] = str(blocks[0] + 1)
+        extra = {k: v for k, v in meta.items() if k != "module" and not k.startswith("shape.")}
+        save_checkpoint(path, module, list(params.items()), extra)
+        with pytest.raises(CheckpointError, match="cfm.ssyn: metadata implies"):
+            load_cfm(path)
+
+    def _lm_file(self, tmp_path, **meta):
+        model = seqlm.ToyLM(seqlm.Vocabulary(speech_size=9, text_size=4), dim=6, n_blocks=1,
+                            max_len=16, rng=np.random.default_rng(0))
+        path = tmp_path / "lm.ssyn"
+        save_lm(path, model)
+        module, params, saved = load_checkpoint(path)
+        saved.update(meta)
+        extra = {k: v for k, v in saved.items()
+                 if k != "module" and not k.startswith("shape.")}
+        save_checkpoint(path, module, list(params.items()), extra)
+        return path
+
+    @pytest.mark.parametrize("key,value", [("max_len", "1000000000000000"),
+                                           ("dim", "100000000"), ("n_blocks", "7")])
+    def test_metadata_sizes_checked_before_building(self, tmp_path, key, value):
+        # the metadata asks for more than the file holds: a typed error
+        # before the model allocates it
+        path = self._lm_file(tmp_path, **{key: value})
+        with pytest.raises(CheckpointError, match="lm.ssyn: metadata implies .* the header"):
+            load_lm(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, bad):
+        model = seqlm.ToyLM(seqlm.Vocabulary(speech_size=9, text_size=4), dim=6, n_blocks=1,
+                            max_len=16, rng=np.random.default_rng(0))
+        model.parameters()[4].data[0, 1] = bad  # written past Tensor's own check
+        path = tmp_path / "lm.ssyn"
+        save_lm(path, model)
+        with pytest.raises(CheckpointError, match="lm.ssyn: parameter p004 holds a non-finite"):
             load_lm(path)
