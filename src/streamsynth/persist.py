@@ -32,8 +32,10 @@ def _restore(model, params: dict[str, np.ndarray]) -> None:
 def _load(path, module: str, values, build):
     """The model ``build(metadata)`` makes, with the parameters saved in ``path``.
 
-    ``values(metadata)`` is the number of parameter values that model has.
-    It must equal the number the header's shapes hold, which the file's size
+    ``values(metadata)`` is the number of parameter values that model has,
+    a sum of products of sizes read by ``_size``. No size is negative, so
+    each bounds its product and the count bounds every size. The count must
+    equal the number the header's shapes hold, which the file's size
     bounds, before ``build`` allocates anything.
     """
     found, params, meta = load_checkpoint(path)
@@ -51,6 +53,14 @@ def _load(path, module: str, values, build):
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     return model
+
+
+def _size(meta, key: str, least: int = 1) -> int:
+    """The integer ``meta[key]``, which must be at least ``least``."""
+    value = int(meta[key])
+    if value < least:
+        raise ValueError(f"metadata {key}={value} is below {least}")
+    return value
 
 
 def _block_values(dim: int) -> int:
@@ -75,9 +85,9 @@ def load_lm(path) -> ToyLM:
         return Vocabulary(int(meta["speech_size"]), int(meta["text_size"]))
 
     def values(meta) -> int:  # embedding, positions, blocks, final norm, head
-        size, dim = vocab(meta).size, int(meta["dim"])
-        return (2 * size + int(meta["max_len"])) * dim \
-            + int(meta["n_blocks"]) * _block_values(dim) + 2 * dim + size
+        size, dim = vocab(meta).size, _size(meta, "dim")
+        return (2 * size + _size(meta, "max_len")) * dim \
+            + _size(meta, "n_blocks", 0) * _block_values(dim) + 2 * dim + size
 
     return _load(path, "seqlm.ToyLM", values, lambda meta: ToyLM(
         vocab(meta), dim=int(meta["dim"]), n_blocks=int(meta["n_blocks"]),
@@ -94,12 +104,11 @@ def load_cfm(path) -> CfmModel:
         return CfmConfig(**{f.name: type(f.default)(meta[f.name]) for f in fields(CfmConfig)})
 
     def values(meta) -> int:  # embedding, conv, projection, blocks, estimator in/out
-        c = config(meta)
-        e, h, f = c.token_embed, c.hidden, c.n_features
-        est_in = 2 * f + c.time_dim + h + e + c.speaker_dim
-        return c.token_vocab * e + c.lookahead + 1 + (e + 1) * h \
-            + (c.n_align_blocks + c.n_estimator_blocks) * _block_values(h) \
-            + (est_in + 1) * h + 2 * h + (h + 1) * f
+        e, h, f = (_size(meta, key) for key in ("token_embed", "hidden", "n_features"))
+        est_in = 2 * f + _size(meta, "time_dim") + h + e + _size(meta, "speaker_dim")
+        blocks = _size(meta, "n_align_blocks", 0) + _size(meta, "n_estimator_blocks", 0)
+        return _size(meta, "token_vocab") * e + _size(meta, "lookahead", 0) + 1 \
+            + (e + 1) * h + blocks * _block_values(h) + (est_in + 1) * h + 2 * h + (h + 1) * f
 
     return _load(path, "cfm.CfmModel", values, lambda meta: CfmModel(config(meta)))
 
@@ -112,7 +121,7 @@ def save_codec(path, codec: FsqCodec) -> None:
 
 def load_codec(path) -> FsqCodec:
     def values(meta) -> int:  # the two projections
-        d, hidden = int(meta["d"]), int(meta["hidden"])
+        d, hidden = _size(meta, "d"), _size(meta, "hidden")
         return 2 * d * hidden + d + hidden
 
     return _load(path, "fsq.FsqCodec", values, lambda meta: FsqCodec(

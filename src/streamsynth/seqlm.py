@@ -272,26 +272,9 @@ def greedy_sampler(logits: np.ndarray, rng: np.random.Generator) -> int:
     return int(np.argmax(logits))
 
 
-def _top_k_ids(logits: np.ndarray, k: int) -> np.ndarray:
-    """``np.argsort(logits)[-k:]``, without a full sort where it can.
-
-    A partial sort and a sort of the k chosen gives the same ids in the
-    same order when those k values are distinct and strictly above the
-    rest. Otherwise ties (such as the equal logits of a zero head) order by
-    the full sort's own rule, so the full sort runs.
-    """
-    if 0 < k < len(logits):
-        top = np.argpartition(logits, -k)[-k:]
-        top = top[np.argsort(logits[top])]
-        vals = logits[top]
-        if (vals[1:] > vals[:-1]).all() and np.count_nonzero(logits >= vals[0]) == k:
-            return top
-    return np.argsort(logits)[-k:]
-
-
 def top_k_sampler(k: int = 5, temperature: float = 1.0) -> Callable:
     def sample(logits: np.ndarray, rng: np.random.Generator) -> int:
-        top = _top_k_ids(logits, k)
+        top = np.argsort(logits)[-k:]
         z = logits[top] / temperature
         z -= z.max()
         p = np.exp(z)

@@ -614,13 +614,13 @@ def concat_cols(parts: Iterable[Tensor]) -> Tensor:
     if not parts:
         raise DimensionError("concat_cols needs at least one part")
     rows = parts[0].data.shape[0]
-    if any(p.data.ndim != 2 or p.data.shape[0] != rows for p in parts):
-        raise DimensionError("concat_cols parts must share row count")
-    grads, hi = [], 0
-    for p in parts:  # each part's gradient is its columns of g
-        lo, hi = hi, hi + p.data.shape[1]
-        grads.append((p, lambda g, lo=lo, hi=hi: g[:, lo:hi]))
-    return _result(np.concatenate([p.data for p in parts], axis=1), *grads)
+    for p in parts:
+        if p.data.ndim != 2 or p.data.shape[0] != rows:
+            raise DimensionError("concat_cols parts must share row count")
+    data = np.concatenate([p.data for p in parts], axis=1)
+    offsets = np.cumsum([0] + [p.data.shape[1] for p in parts])
+    return _result(data, *((p, lambda g, lo=lo, hi=hi: g[:, lo:hi])
+                           for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])))
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:

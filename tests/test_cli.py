@@ -367,7 +367,7 @@ class TestSynthesize:
                    "--text", text, "--set", "cfm.nfe=2", "--out", tmp_path / "o", *TINY)
         err = capsys.readouterr().err
         assert code == 1
-        assert "huge.ssyn: metadata implies" in err and "Traceback" not in err
+        assert "huge.ssyn: metadata" in err and "Traceback" not in err
 
     def test_non_finite_checkpoint_exits_cleanly(self, workspace, tmp_path, capsys):
         _, _, runs, text = workspace

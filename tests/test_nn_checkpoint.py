@@ -452,6 +452,28 @@ class TestModelPersistence:
         with pytest.raises(CheckpointError, match="lm.ssyn: metadata implies .* the header"):
             load_lm(path)
 
+    def test_negative_block_count_cannot_cancel_a_huge_size(self, tmp_path):
+        # 510 values per block at dim 6: 6e11 blocks fewer cancel 5.1e13
+        # positions more, so the implied count equals the file's, but the
+        # negative count is named before the positions are allocated
+        path = self._lm_file(tmp_path, n_blocks=str(1 - 6 * 10**11),
+                             max_len=str(16 + 510 * 10**11))
+        with pytest.raises(CheckpointError, match="lm.ssyn: metadata n_blocks=.* is below 0"):
+            load_lm(path)
+
+    def test_negative_align_blocks_cannot_cancel_a_huge_vocabulary(self, tmp_path):
+        # 872 values per block at hidden 8, 4 per embedding row
+        cfg = cfm.CfmConfig(n_features=3, token_vocab=10, token_embed=4, hidden=8,
+                            speaker_dim=3, lookahead=2, time_dim=6)
+        path = tmp_path / "cfm.ssyn"
+        save_cfm(path, cfm.CfmModel(cfg, np.random.default_rng(2)))
+        module, params, meta = load_checkpoint(path)
+        meta.update(n_align_blocks=str(2 - 4 * 10**11), token_vocab=str(10 + 872 * 10**11))
+        extra = {k: v for k, v in meta.items() if k != "module" and not k.startswith("shape.")}
+        save_checkpoint(path, module, list(params.items()), extra)
+        with pytest.raises(CheckpointError, match="metadata n_align_blocks=.* is below 0"):
+            load_cfm(path)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameter_rejected(self, tmp_path, bad):
         model = seqlm.ToyLM(seqlm.Vocabulary(speech_size=9, text_size=4), dim=6, n_blocks=1,

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamsynth import tensor as T
-from streamsynth import nn, seqlm
+from streamsynth import nn
 from streamsynth.seqlm import (CacheMismatchError, GenerationResult, InterleaveConfig,
                                LmCache, ParseError, ToyLM, Vocabulary, build_icl_prompt,
                                build_nonstream, build_stream, deinterleave, generate,
@@ -386,33 +386,6 @@ class TestToyLM:
         assert draws1 == draws2
         assert set(draws1) <= {1, 2}
         assert greedy_sampler(logits, np.random.default_rng(0)) == 1
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 40), k=st.integers(1, 50),
-           levels=st.sampled_from([None, 1, 2, 3]))
-    def test_top_k_sampler_matches_full_sort(self, data, n, k, levels):
-        # ``levels`` draws every logit from that many values, forcing ties
-        # (one level: the equal logits of a zero head); None draws floats
-        if levels is None:
-            values = st.floats(-5.0, 5.0, allow_nan=False)
-        else:
-            values = st.sampled_from([float(v) for v in range(levels)])
-        logits = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
-        seed = data.draw(st.integers(0, 2**16))
-
-        def full_sort(logits, rng):  # the sampler as it was with a full sort
-            top = np.argsort(logits)[-k:]
-            z = logits[top] / 0.8
-            z -= z.max()
-            p = np.exp(z)
-            p /= p.sum()
-            return int(top[rng.choice(len(top), p=p)])
-
-        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        draws = [top_k_sampler(k, 0.8)(logits, rng_a) for _ in range(3)]
-        assert draws == [full_sort(logits, rng_b) for _ in range(3)]
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
-        assert seqlm._top_k_ids(logits, k).tolist() == np.argsort(logits)[-k:].tolist()
 
 
 def _varied_lm(max_len: int = 64, n_blocks: int = 2) -> ToyLM:
