@@ -110,11 +110,6 @@ def _load_models(cfg: RunConfig, lm_path: str, cfm_path: str | None = None):
     return lm, model
 
 
-def _speaker(cfg: RunConfig) -> np.ndarray:
-    rng = np.random.default_rng(split_seed(cfg.run.seed, "speaker"))
-    return rng.normal(0.0, 1.0, cfg.cfm.speaker_dim)
-
-
 def _sampling(cfg: RunConfig) -> dict:
     """The flow-matching sampler settings, which streaming and offline share."""
     return {"nfe": cfg.cfm.nfe, "beta": cfg.cfm.beta,
@@ -152,8 +147,16 @@ def _corpus(data: Path, vocab: seqlm.Vocabulary) -> list[tuple[list[int], list[i
     return pairs
 
 
-def _data_speaker(data: Path, dim: int) -> np.ndarray:
-    return dataio.read_speaker_file(_require_file(data / "speaker.txt", "speaker vector"), dim)
+def _cfm_speaker_path(cfm_path) -> Path:
+    """Where the speaker vector a flow-matching checkpoint was trained on
+    lies: ``runs/cfm.ssyn`` has ``runs/cfm.speaker.txt``."""
+    return Path(cfm_path).with_suffix(".speaker.txt")
+
+
+def _cfm_speaker(cfm_path, dim: int) -> np.ndarray:
+    """The speaker vector a flow-matching checkpoint was trained on."""
+    return dataio.read_speaker_file(
+        _require_file(_cfm_speaker_path(cfm_path), f"speaker vector of {cfm_path}"), dim)
 
 
 def cmd_gen_data(args) -> int:
@@ -161,7 +164,8 @@ def cmd_gen_data(args) -> int:
     out = _out_dir(args.out)
     vocab, motifs, pairs = _corpus_assets(cfg)
     dataio.write_corpus(out / "corpus.txt", pairs)
-    speaker = _speaker(cfg)
+    speaker = np.random.default_rng(split_seed(cfg.run.seed, "speaker")).normal(
+        0.0, 1.0, cfg.cfm.speaker_dim)
     dataio.write_speaker_file(out / "speaker.txt", speaker)
     feat_dir = out / "features"
     feat_dir.mkdir(exist_ok=True)
@@ -221,7 +225,8 @@ def _train_lm(cfg: RunConfig, data: Path, out: str) -> dict[str, float]:
 
 def _train_cfm(cfg: RunConfig, data: Path, out: str) -> dict[str, float]:
     pairs = _corpus(data, _vocab(cfg))
-    speaker = _data_speaker(data, cfg.cfm.speaker_dim)
+    speaker = dataio.read_speaker_file(_require_file(data / "speaker.txt", "speaker vector"),
+                                       cfg.cfm.speaker_dim)
     features = [_target_features(data, i) for i in range(len(pairs))]
     model = cfm_mod.CfmModel(_cfm_config(cfg),
                              np.random.default_rng(split_seed(cfg.run.seed, "cfm-init")))
@@ -234,7 +239,9 @@ def _train_cfm(cfg: RunConfig, data: Path, out: str) -> dict[str, float]:
         loss = opt.minimize(lambda: cfm_mod.training_step(
             model, features[i], speaker, pairs[i][1], rng, chunk=cfg.cfm.chunk_frames))
         history.append(loss.item())
-    persist.save_cfm(_out_dir(out) / "cfm.ssyn", model)
+    path = _out_dir(out) / "cfm.ssyn"
+    persist.save_cfm(path, model)
+    dataio.write_speaker_file(_cfm_speaker_path(path), speaker)
     span = min(100, max(len(history) // 2, 1))
     return {
         "loss_first": float(np.mean(history[:span])) if history else 0.0,
@@ -279,7 +286,7 @@ def cmd_synthesize(args) -> int:
     vocab = lm.vocab
     icfg = seqlm.InterleaveConfig(cfg.seqlm.n, cfg.seqlm.m)
     text = _parse_text(vocab, args.text)
-    speaker = _speaker(cfg)
+    speaker = _cfm_speaker(args.cfm, model.config.speaker_dim)
     seed = split_seed(cfg.run.seed, "synthesize-noise")
     ref = cfm_mod.FeatureSeq(np.zeros((0, model.config.n_features)))
 
@@ -399,7 +406,7 @@ def cmd_eval(args) -> int:
     vocab = lm.vocab
     pairs = _corpus(data, vocab)
     if model is not None:
-        speaker = _data_speaker(data, model.config.speaker_dim)
+        speaker = _cfm_speaker(args.cfm, model.config.speaker_dim)
     seqs = _train_sequences(cfg, vocab, pairs)
     metrics = {
         "loss": seqlm.evaluate_loss(lm, seqs),

@@ -168,47 +168,6 @@ def features_for_tokens(tokens: list[int], speaker_v: np.ndarray, n_features: in
     return FeatureSeq(frames)
 
 
-def _moon_arcs(labels, theta):
-    """Point at angle ``theta`` on the upper (label 0) or lower (label 1) moon."""
-    x = np.where(labels == 0, np.cos(theta), 1.0 - np.cos(theta))
-    y = np.where(labels == 0, np.sin(theta), 0.5 - np.sin(theta))
-    return np.stack([x, y], axis=1)
-
-
-# benchmark geometry for the flow-matching sampler: centered, slightly
-# enlarged moons with tight arc blobs
-MOON_BINS = 32
-MOON_NOISE = 0.03
-MOON_SCALE = 1.4
-_MOON_CENTER = np.array([0.5, 0.25])
-
-
-def _moon_points(labels, theta):
-    return (_moon_arcs(labels, theta) - _MOON_CENTER) * MOON_SCALE
-
-
-def two_moons_tokens(rng: np.random.Generator, n: int):
-    """Two-moons points with fine-grained arc tokens.
-
-    Token = moon * MOON_BINS + arc bin; theta is uniform so every token is
-    equiprobable and the pooled marginal is the plain two-moons cloud.
-    """
-    labels = rng.integers(0, 2, size=n)
-    arc = rng.integers(0, MOON_BINS, size=n)
-    theta = (arc + rng.uniform(0.0, 1.0, size=n)) * (np.pi / MOON_BINS)
-    pts = _moon_points(labels, theta) + MOON_NOISE * rng.standard_normal((n, 2))
-    return pts, labels * MOON_BINS + arc
-
-
-def moon_frames_for_token(token: int, rng: np.random.Generator) -> np.ndarray:
-    """Independent draws from one arc-token's blob, one per upsampled frame:
-    shape [UPSAMPLE, 2]."""
-    label, arc = divmod(int(token), MOON_BINS)
-    theta = (arc + rng.uniform(0.0, 1.0, size=UPSAMPLE)) * (np.pi / MOON_BINS)
-    labels = np.full(UPSAMPLE, label)
-    return _moon_points(labels, theta) + MOON_NOISE * rng.standard_normal((UPSAMPLE, 2))
-
-
 def write_preference_file(path, records) -> None:
     write_lines(path, ("Y " + " ".join(str(t) for t in rec.context)
                        + " | W " + " ".join(str(t) for t in rec.preferred)

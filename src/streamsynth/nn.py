@@ -164,28 +164,6 @@ class Adam:
         return loss
 
 
-class Ema:
-    """Exponential moving average of parameters for evaluation."""
-
-    decay = 0.999
-
-    def __init__(self, params: Sequence[Tensor]):
-        self.params = list(params)
-        self.shadow = [p.data.copy() for p in self.params]
-        self.updates = 0
-
-    def update(self) -> None:
-        self.updates += 1
-        d = min(self.decay, (1.0 + self.updates) / (10.0 + self.updates))
-        for s, p in zip(self.shadow, self.params):
-            s *= d
-            s += (1.0 - d) * p.data
-
-    def copy_to(self) -> None:
-        for s, p in zip(self.shadow, self.params):
-            p.data = s.copy()
-
-
 def param_fingerprint(params: Sequence[Tensor]) -> bytes:
     """Stable digest over parameter bytes; used by frozen-model contracts."""
     import hashlib

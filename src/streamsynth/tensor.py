@@ -175,16 +175,28 @@ class Tape:
         self.nodes.append(_Node(out, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
+        """Backpropagate ``loss`` through the recorded nodes, last to first.
+
+        Backward consumes the tape: it takes the node list off the tape and
+        drops each node once it has run. Each output's gradient is taken off
+        the output (``out.grad`` is ``None`` afterwards) as it is handed to
+        the node, so an intermediate gradient, a node's closure and the
+        arrays it captured are freed as soon as backward has passed them.
+        Only tensors that no node produced (parameters, inputs) keep their
+        gradients. A second ``backward`` on the same tape raises
+        :class:`TapeError`.
+        """
         if loss.data.size != 1:
             raise TapeError(f"backward needs a scalar loss, got shape {loss.shape}")
         if not any(node.out is loss for node in reversed(self.nodes)):
-            raise TapeError("loss was not produced on this tape")
+            raise TapeError("loss was not produced on this tape, or its backward already ran")
+        nodes, self.nodes = self.nodes, []
         loss.accumulate_grad(np.ones_like(loss.data))
-        for node in reversed(self.nodes):
-            g = node.out.grad
-            if g is None:
-                continue
-            node.backward_fn(g)
+        while nodes:
+            node = nodes.pop()
+            g, node.out.grad = node.out.grad, None
+            if g is not None:
+                node.backward_fn(g)
 
 
 @contextmanager
@@ -434,7 +446,16 @@ def conv1d_right_padded(x: Tensor, kernel: Tensor, pad: int) -> Tensor:
 def cross_entropy_ignore(
     logits: Tensor, targets: Sequence[int], ignore_mask: Sequence[bool]
 ) -> Tensor:
-    """Mean NLL over non-ignored positions; ignored rows get zero loss/grad."""
+    """Mean NLL over non-ignored positions; ignored rows get zero loss/grad.
+
+    The backward keeps two [A, 1] columns of the A scored rows, their maxima
+    and log-sum-exps, and rebuilds ``exp((rows - max) - lse)`` from
+    ``logits.data``, which the tape keeps alive until this node has run.
+    The forward makes one [A, V] array and the backward two (the rows and
+    the zeroed full gradient), each updated in place with the operations,
+    in order, of the plain formula ``logp = (rows - max) - lse``, so the
+    bytes are those of that formula.
+    """
     if logits.data.ndim != 2:
         raise DimensionError("logits must be [L, V]")
     length, vocab = logits.data.shape
@@ -449,18 +470,23 @@ def cross_entropy_ignore(
     if (tgt_arr[active] < 0).any() or (tgt_arr[active] >= vocab).any():
         raise IndexError("target id out of range at a scored position")
 
-    rows = logits.data[active]
-    z = rows - rows.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    logp = z - lse
-    picked = logp[np.arange(active.size), tgt_arr[active]]
-    data = np.asarray(-picked.sum() / active.size)
+    picks = (np.arange(active.size), tgt_arr[active])
+    z = logits.data[active]
+    top = z.max(axis=1, keepdims=True)
+    z -= top
+    z_picked = z[picks]
+    lse = np.log(np.exp(z, out=z).sum(axis=1, keepdims=True))
+    data = np.asarray(-(z_picked - lse[:, 0]).sum() / active.size)
 
     def grad_logits(g: np.ndarray) -> np.ndarray:
-        soft = np.exp(logp)
-        soft[np.arange(active.size), tgt_arr[active]] -= 1.0
+        soft = logits.data[active]
+        soft -= top
+        soft -= lse
+        np.exp(soft, out=soft)
+        soft[picks] -= 1.0
+        soft *= float(g) / active.size
         full = np.zeros_like(logits.data)
-        full[active] = soft * (float(g) / active.size)
+        full[active] = soft
         return full
 
     return _result(data, (logits, grad_logits))

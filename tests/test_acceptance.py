@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from gradcheck import check_gradients
+from moons import MOON_BINS, Ema, moon_frames_for_token, two_moons_tokens
 from streamsynth import cfm, dataio, fsq, latency, rl
 from streamsynth import tensor as T
 from streamsynth.cfm import (CfmConfig, CfmModel, ConditionSet, FeatureSeq, MaskKind,
@@ -305,18 +306,15 @@ def test_criterion_07_mask_semantics_and_locality():
 # acceptance threshold is twice that.
 MOONS_BASELINE = 0.03783119631787943
 MOONS_THRESHOLD = 2.0 * MOONS_BASELINE
-MOON_BINS = 32
 
 
 @pytest.mark.slow
 def test_criterion_08_two_moons_sampling_quality():
-    from streamsynth.nn import Ema
-
     start = time.perf_counter()
     eds = []
     for s in range(8):
-        a, _ = dataio.two_moons_tokens(np.random.default_rng(9000 + 2 * s), 2000)
-        b, _ = dataio.two_moons_tokens(np.random.default_rng(9001 + 2 * s), 2000)
+        a, _ = two_moons_tokens(np.random.default_rng(9000 + 2 * s), 2000)
+        b, _ = two_moons_tokens(np.random.default_rng(9001 + 2 * s), 2000)
         eds.append(energy_distance(a, b))
     assert float(np.mean(eds)) == pytest.approx(MOONS_BASELINE, rel=1e-9)
 
@@ -336,7 +334,7 @@ def test_criterion_08_two_moons_sampling_quality():
             loss = None
             for _ in range(batch):
                 tok = int(rng.integers(2 * MOON_BINS))
-                x1 = FeatureSeq(dataio.moon_frames_for_token(tok, rng))
+                x1 = FeatureSeq(moon_frames_for_token(tok, rng))
                 term = T.scale(training_step(model, x1, v, [tok], rng), 1.0 / batch)
                 loss = term if loss is None else T.add(loss, term)
         tape.backward(loss)
@@ -355,7 +353,7 @@ def test_criterion_08_two_moons_sampling_quality():
                      spec=spec, seed=600_000 + i)
         points.append(out.frames[:1])
     generated = np.concatenate(points, axis=0)
-    target, _ = dataio.two_moons_tokens(np.random.default_rng(777), 2000)
+    target, _ = two_moons_tokens(np.random.default_rng(777), 2000)
     ed = energy_distance(generated, target)
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0, f"two-moons run exceeded budget: {elapsed:.0f}s"

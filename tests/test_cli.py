@@ -8,12 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from streamsynth import cli
+from streamsynth import cfm, cli, dataio, fsq
 from streamsynth.cfm import CfmConfig, CfmModel
 from streamsynth.checkpoint import load_checkpoint, save_checkpoint
 from streamsynth.cli import build_parser, main
-from streamsynth.config import CfmSection, RunConfig
-from streamsynth.persist import save_cfm, save_lm
+from streamsynth.config import CfmSection, RunConfig, split_seed
+from streamsynth.persist import load_cfm, save_cfm, save_lm
 from streamsynth.seqlm import ToyLM, Vocabulary
 
 TINY = [
@@ -445,17 +445,87 @@ class TestSynthesize:
         assert message in err and "Traceback" not in err
 
     def test_short_speaker_vector_exits_cleanly(self, workspace, tmp_path, capsys):
-        _, data, runs, _ = workspace
+        # eval reads the checkpoint's speaker, not this one (see below)
+        _, data, _, _ = workspace
         bad = tmp_path / "data"
         shutil.copytree(data, bad)
         (bad / "speaker.txt").write_text("0.1 0.2\n")
-        for argv in (["train", "--target", "cfm"],
-                     ["eval", "--lm", runs / "lm.ssyn", "--cfm", runs / "cfm.ssyn"]):
-            code = run(*argv, "--data", bad, "--out", tmp_path / "o", *TINY)
-            err = capsys.readouterr().err
-            assert code == 1, argv
-            assert "speaker.txt: 2 values, expected 16" in err and "Traceback" not in err
-            assert not (tmp_path / "o").exists()
+        code = run("train", "--target", "cfm", "--data", bad, "--out", tmp_path / "o", *TINY)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "speaker.txt: 2 values, expected 16" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_synthesize_conditions_on_the_trained_speaker(self, workspace, tmp_path):
+        # models trained on the seed-5 corpus: --seed 6 draws seed-6 noise but
+        # keeps the seed-5 speaker that train --target cfm wrote beside cfm.ssyn
+        _, data, runs, text = workspace
+        argv = list(TINY)
+        argv[argv.index("--seed") + 1] = "6"
+        out = tmp_path / "s6"
+        assert run("synthesize", "--lm", runs / "lm.ssyn", "--cfm", runs / "cfm.ssyn",
+                   "--text", text, "--set", "cfm.nfe=2", "--mode", "offline",
+                   "--out", out, *argv) == 0
+        assert (runs / "cfm.speaker.txt").read_bytes() == (data / "speaker.txt").read_bytes()
+        tokens, _ = fsq.read_token_file(out / "tokens.txt")
+        model = load_cfm(runs / "cfm.ssyn")
+        ref = cfm.FeatureSeq(np.zeros((0, model.config.n_features)))
+        spec = cfm.MaskSpec(cfm.MaskKind.CHUNK, CfmSection().chunk_frames)
+
+        def features(speaker):
+            return cfm.sample(model, cfm.ConditionSet(speaker, tokens, ref),
+                              cfm.UPSAMPLE * len(tokens), nfe=2, beta=CfmSection().beta,
+                              spec=spec, seed=split_seed(6, "synthesize-noise")).frames
+
+        got = cfm.read_feature_file(out / "features.sfea").frames
+        trained = dataio.read_speaker_file(data / "speaker.txt", 16)
+        seed6 = np.random.default_rng(split_seed(6, "speaker")).normal(0.0, 1.0, 16)
+        assert got.tobytes() == features(trained).tobytes()
+        assert got.tobytes() != features(seed6).tobytes()
+
+    @pytest.mark.parametrize("command", ["synthesize", "eval"])
+    @pytest.mark.parametrize("content, message", [
+        (None, "missing speaker vector of"),
+        ("0.1 0.2\n", "cfm.speaker.txt: 2 values, expected 16")], ids=["missing", "short"])
+    def test_bad_checkpoint_speaker_exits_cleanly(self, workspace, tmp_path, capsys,
+                                                  content, message, command):
+        _, data, runs, text = workspace
+        moved = tmp_path / "runs"
+        moved.mkdir()
+        shutil.copy(runs / "cfm.ssyn", moved / "cfm.ssyn")
+        if content is not None:
+            (moved / "cfm.speaker.txt").write_text(content)
+        extra = {"synthesize": ["--text", text], "eval": ["--data", data]}[command]
+        code = run(command, "--lm", runs / "lm.ssyn", "--cfm", moved / "cfm.ssyn", *extra,
+                   "--set", "cfm.nfe=2", "--out", tmp_path / "o", *TINY)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and message in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_eval_conditions_on_the_trained_speaker(self, workspace, tmp_path):
+        # seed-5 models evaluated against a seed-6 corpus: eval samples with
+        # the seed-5 speaker beside cfm.ssyn, whatever <data>/speaker.txt says
+        _, _, runs, _ = workspace
+        argv = list(TINY)
+        argv[argv.index("--seed") + 1] = "6"
+        data6 = tmp_path / "data6"
+        assert run("gen-data", "--out", data6, *argv) == 0
+        other = tmp_path / "runs6"
+        other.mkdir()
+        shutil.copy(runs / "cfm.ssyn", other / "cfm.ssyn")
+        shutil.copy(data6 / "speaker.txt", other / "cfm.speaker.txt")
+
+        def report(cfm_path, name):
+            assert run("eval", "--lm", runs / "lm.ssyn", "--cfm", cfm_path, "--data", data6,
+                       "--set", "cfm.nfe=2", "--out", tmp_path / name, *TINY) == 0
+            return (tmp_path / name / "report_eval.txt").read_bytes()
+
+        trained = report(runs / "cfm.ssyn", "trained")
+        seed6 = report(other / "cfm.ssyn", "seed6")
+        (data6 / "speaker.txt").unlink()
+        assert report(runs / "cfm.ssyn", "no-data-speaker") == trained
+        assert seed6 != trained
 
 
 # (config arguments, token vocabulary of a CFM checkpoint made apart from the
@@ -584,6 +654,7 @@ PIPELINE_DIGESTS = {
     "offline/tokens.txt": "f87289cd07e3cb83a7f75c1a2f2467f14c8a49330966fa39eebd995567f577f2",
     "stream/features.sfea": "0f86d7b4b9a05c973f98d8de9b956523747fb3ef686ff9a7b4a8f5c59e0d92f9",
     "stream/tokens.txt": "f87289cd07e3cb83a7f75c1a2f2467f14c8a49330966fa39eebd995567f577f2",
+    "runs/cfm.speaker.txt": "140bf327f98d30960c70ed27c7ce428c3461a8db1e7b0c4abb163442485b57d4",
     "runs/cfm.ssyn": "0d0c2e221587512747ce075b8525f34876bbeb4253bab156b3c3989f3b84139b",
     "runs/lm.ssyn": "f76596919e5d49ad6b64da09d0ec18d3f91fbe94299e66d4400f89dd88b9c498",
     "runs/report_train_cfm.txt": "31603b9fd396b91adca4406c3b10b2060f368cd20e8f8648d22411a711eb49d1",

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamsynth import cli, nn
 from streamsynth import tensor as T
-from streamsynth import nn
+from streamsynth.config import RunConfig
 from streamsynth.seqlm import (CacheMismatchError, GenerationResult, InterleaveConfig,
                                LmCache, ParseError, ToyLM, Vocabulary, build_icl_prompt,
                                build_nonstream, build_stream, deinterleave, generate,
@@ -461,3 +464,28 @@ class TestLmCache:
         with pytest.raises(ValueError, match="exceeds max_len 12"):
             model.logits_last(ids + [1], cache)
         assert cache.length == 12
+
+
+def test_lm_sft_backward_frees_what_it_has_passed():
+    # One default-size LM SFT step over 16 default-corpus sequences. Backward
+    # frees each sequence's [L, V] logits gradient and its closures once it
+    # has passed them, so its peak stays near what the forward retained:
+    # 7.0 MB above it, where a tape that keeps every node until the end
+    # peaks 32.2 MB above it.
+    cfg = RunConfig()
+    vocab, _, pairs = cli._corpus_assets(cfg)
+    seqs = cli._train_sequences(cfg, vocab, pairs)
+    lm = ToyLM(**cli._lm_shape(cfg), rng=np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    batch = [seqs[i] for i in rng.choice(len(seqs), cfg.seqlm.batch_size, replace=False)]
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss = sequence_loss(lm, batch)
+        retained = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tape.backward(loss)
+        above = tracemalloc.get_traced_memory()[1] - retained
+    finally:
+        tracemalloc.stop()
+    assert above < 15 * 2**20, f"backward peaked {above / 2**20:.1f} MB above the forward"

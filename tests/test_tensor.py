@@ -1,11 +1,13 @@
 import gc
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gradcheck import check_gradients
 from streamsynth import tensor as T
@@ -312,6 +314,43 @@ class TestCrossEntropy:
             [logits])
         assert err < 1e-4
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 6), vocab=st.integers(1, 9),
+           upstream=st.sampled_from([1.0, 0.25, -3.0, 1e-3]))
+    def test_bytes_equal_four_temporary_formula(self, data, rows, vocab, upstream):
+        logits = data.draw(arrays(np.float64, (rows, vocab), elements=st.floats(-1e3, 1e3)
+                                  | st.just(-0.0)))
+        ignore = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)
+                           .filter(lambda ign: not all(ign)))
+        targets = data.draw(st.lists(st.integers(0, vocab - 1), min_size=rows, max_size=rows))
+        want_loss, want_grad = cross_entropy_reference(logits, targets, ignore, upstream)
+        x = Tensor(logits, requires_grad=True)
+        with Tape() as tape:
+            loss = T.cross_entropy_ignore(x, targets, ignore)
+            scaled = T.scale(loss, upstream)
+        tape.backward(scaled)
+        assert loss.data.tobytes() == want_loss.tobytes()
+        assert x.grad.tobytes() == want_grad.tobytes()
+
+
+def cross_entropy_reference(logits, targets, ignore, upstream):
+    """The loss and logits gradient of cross_entropy_ignore as the plain
+    formula computes them, with four [A, V] temporaries in the forward (the
+    rows, ``z``, ``exp(z)``, ``logp``) and three in the backward; the
+    gradient is stored as a tape stores a first gradient, ``+ 0.0``."""
+    active = np.flatnonzero(np.logical_not(ignore))
+    picks = (np.arange(active.size), np.asarray(targets, dtype=np.int64)[active])
+    rows = logits[active]
+    z = rows - rows.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    logp = z - lse
+    loss = np.asarray(-logp[picks].sum() / active.size)
+    soft = np.exp(logp)
+    soft[picks] -= 1.0
+    full = np.zeros_like(logits)
+    full[active] = soft * (upstream / active.size)
+    return loss, full + 0.0
+
 
 def attention_reference(q, k, v, mask, g):
     """Row-by-row masked attention and its q, k, v gradients for upstream
@@ -574,6 +613,38 @@ class TestTapeSemantics:
             y = T.mul(x, x)
         with pytest.raises(T.TapeError):
             tape.backward(y)
+
+    def test_backward_consumes_the_tape(self):
+        # recorded outputs give up their gradients, leaves keep theirs, and
+        # the consumed tape cannot run backward again
+        x = Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
+        w = Tensor([[2.0, 0.0], [-1.0, 1.5]], requires_grad=True)
+        with Tape() as tape:
+            loss = T.mean_all(T.relu(T.matmul(x, w)))
+        outputs = [node.out for node in tape.nodes]
+        tape.backward(loss)
+        assert len(outputs) == 3 and all(out.grad is None for out in outputs)
+        g = (x.data @ w.data > 0.0) * 0.25
+        assert x.grad.tobytes() == (g @ w.data.T + 0.0).tobytes()
+        assert w.grad.tobytes() == (x.data.T @ g + 0.0).tobytes()
+        with pytest.raises(T.TapeError):
+            tape.backward(loss)
+
+    def test_intermediate_arrays_are_freed_by_backward(self):
+        # Tensor has __slots__ and takes no weakref; its ndarray does
+        x = Tensor(np.ones((3, 4)), requires_grad=True)
+        w = Tensor(np.full((4, 5), 0.5), requires_grad=True)
+
+        def record():
+            h = T.silu(T.matmul(x, w))
+            return T.mean_all(h), weakref.ref(h.data)
+
+        with Tape() as tape:
+            loss, ref = record()
+        assert ref() is not None
+        tape.backward(loss)
+        assert ref() is None
+        assert x.grad is not None and w.grad is not None
 
     def test_backward_without_tape_raises(self):
         x = Tensor(np.ones(3), requires_grad=True)
