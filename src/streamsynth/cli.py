@@ -181,9 +181,19 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _target_features(data: Path, i: int) -> cfm_mod.FeatureSeq:
-    return cfm_mod.read_feature_file(
-        _require_file(data / "features" / f"pair_{i:03d}.sfea", "feature file"))
+def _target_features(data: Path, i: int, speech, n_features: int) -> cfm_mod.FeatureSeq:
+    """The frames of corpus pair ``i``, whose speech ids are ``speech``:
+    ``UPSAMPLE`` frames per id, each of ``n_features`` values."""
+    corpus = data / "corpus.txt"
+    path = _require_file(data / "features" / f"pair_{i:03d}.sfea",
+                         f"feature file of pair {i} in {corpus}")
+    feats = cfm_mod.read_feature_file(path)
+    want = (cfm_mod.UPSAMPLE * len(speech), n_features)
+    if feats.frames.shape != want:
+        raise cfm_mod.FeatureFileError(
+            f"{path}: {feats.frames.shape[0]} frames of {feats.frames.shape[1]} values, but "
+            f"pair {i} in {corpus} needs {want[0]} of {want[1]}")
+    return feats
 
 
 def _train_sequences(cfg, vocab, pairs):
@@ -227,7 +237,8 @@ def _train_cfm(cfg: RunConfig, data: Path, out: str) -> dict[str, float]:
     pairs = _corpus(data, _vocab(cfg))
     speaker = dataio.read_speaker_file(_require_file(data / "speaker.txt", "speaker vector"),
                                        cfg.cfm.speaker_dim)
-    features = [_target_features(data, i) for i in range(len(pairs))]
+    features = [_target_features(data, i, speech, cfg.cfm.n_features)
+                for i, (_, speech) in enumerate(pairs)]
     model = cfm_mod.CfmModel(_cfm_config(cfg),
                              np.random.default_rng(split_seed(cfg.run.seed, "cfm-init")))
     rng = np.random.default_rng(split_seed(cfg.run.seed, "cfm-train"))
@@ -325,6 +336,11 @@ def cmd_finetune(args) -> int:
     lm, _ = _load_models(cfg, args.lm)
     vocab = lm.vocab
     pairs = _corpus(Path(args.data), vocab)
+    for i, (text, speech) in enumerate(pairs):  # the ASR backend reads speech by motif
+        if len(speech) != dataio.MOTIF_LEN * len(text):
+            raise dataio.CorpusFileError(
+                f"{Path(args.data) / 'corpus.txt'}: pair {i} has {len(speech)} speech ids for "
+                f"{len(text)} text ids, not {dataio.MOTIF_LEN} per text id")
     motifs = dataio.motifs_of(pairs)
 
     fcfg = fsq_mod.FsqConfig(cfg.fsq.d, cfg.fsq.k)
@@ -423,7 +439,7 @@ def cmd_eval(args) -> int:
             feats = cfm_mod.sample(model, cond, cfm_mod.UPSAMPLE * len(speech),
                                    **_sampling(cfg), seed=split_seed(cfg.run.seed, f"eval-{i}"))
             sampled.append(feats.frames)
-            target.append(_target_features(data, i).frames)
+            target.append(_target_features(data, i, speech, cfg.cfm.n_features).frames)
         metrics["energy_distance"] = cfm_mod.energy_distance(
             np.concatenate(sampled), np.concatenate(target))
     _report(cfg, metrics).write(_out_dir(args.out) / "report_eval.txt")

@@ -5,19 +5,27 @@ error: bytes that are not UTF-8, or a path that cannot be read (a directory,
 no read permission), raise that error with the path in its message. A missing
 file stays a ``FileNotFoundError``, and a path that cannot be written raises
 its ``OSError``, which the command line reports as an error exit.
+
+Binary files are written from a list of parts and read from an open file, so
+neither side holds a second copy of a large array: ``write_parts`` hands each
+part's buffer to the file as it is, and a reader of ``read_binary`` reads
+each value straight into the array that keeps it.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 Error = Callable[[str], Exception]
 
 
-def _read(path, error: Error, read):
+@contextmanager
+def _reading(path, error: Error) -> Iterator[None]:
     try:
-        return read(Path(path))
+        yield
     except UnicodeDecodeError:
         raise error(f"{path}: not UTF-8 text") from None
     except FileNotFoundError:
@@ -28,11 +36,16 @@ def _read(path, error: Error, read):
 
 def read_text(path, error: Error) -> str:
     """The file as UTF-8 text, with CRLF and CR line ends read as LF."""
-    return _read(path, error, lambda p: p.read_text(encoding="utf-8"))
+    with _reading(path, error):
+        return Path(path).read_text(encoding="utf-8")
 
 
-def read_bytes(path, error: Error) -> bytes:
-    return _read(path, error, Path.read_bytes)
+@contextmanager
+def read_binary(path, error: Error) -> Iterator[BinaryIO]:
+    """The file, open for binary reading until the block ends. A path that
+    cannot be opened or read raises ``error``, as ``read_text`` does."""
+    with _reading(path, error), open(path, "rb") as f:
+        yield f
 
 
 def write_lines(path, lines: Iterable[str]) -> None:
@@ -43,5 +56,23 @@ def write_lines(path, lines: Iterable[str]) -> None:
         f.write(text)
 
 
-def write_bytes(path, data: bytes) -> None:
-    Path(path).write_bytes(data)
+def write_parts(path, parts: Sequence) -> None:
+    """Write the bytes-like ``parts`` (``bytes``, C-contiguous arrays) in turn
+    as one binary file. Each part's buffer goes to the file as it is, so no
+    part is copied and the parts are never joined.
+
+    An existing file is overwritten in place and cut to its new length at the
+    end, not emptied when it opens: emptying a file whose last contents the
+    system is still writing back to disk waits for that write-back, some
+    300 ms for a 6 MB checkpoint written twice in a row on a slow disk. The
+    first part is written as zeros first and for real last, so a write cut
+    short leaves a head of zeros, never a valid head over a mix of old and
+    new bytes."""
+    head, *rest = parts
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(bytes(memoryview(head).nbytes))
+        for part in rest:
+            f.write(part)
+        f.truncate()
+        f.seek(0)
+        f.write(head)

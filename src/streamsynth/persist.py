@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
 import numpy as np
 
 from .cfm import CfmConfig, CfmModel
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, CheckpointError, open_checkpoint, save_checkpoint
 from .fsq import FsqCodec, FsqConfig
 from .seqlm import ToyLM, Vocabulary
 
@@ -16,17 +17,18 @@ def _named(model) -> list[tuple[str, np.ndarray]]:
     return [(f"p{i:03d}", p.data) for i, p in enumerate(model.parameters())]
 
 
-def _restore(model, params: dict[str, np.ndarray]) -> None:
+def _restore(model, ckpt: Checkpoint) -> None:
+    """Read ``ckpt``'s parameters straight into the arrays of ``model``, a
+    model just built, checking each one's shape before and values after."""
     own = model.parameters()
-    if len(own) != len(params):
-        raise ValueError(f"checkpoint has {len(params)} arrays, model needs {len(own)}")
+    if len(own) != len(ckpt.shapes):
+        raise ValueError(f"checkpoint has {len(ckpt.shapes)} arrays, model needs {len(own)}")
     for i, p in enumerate(own):
-        arr = params[f"p{i:03d}"]
-        if arr.shape != p.data.shape:
-            raise ValueError(f"parameter p{i:03d} shape {arr.shape} != {p.data.shape}")
-        if not np.isfinite(arr).all():
+        shape = ckpt.shapes[f"p{i:03d}"]
+        if shape != p.data.shape:
+            raise ValueError(f"parameter p{i:03d} shape {shape} != {p.data.shape}")
+        if not np.isfinite(ckpt.read(f"p{i:03d}", p.data)).all():
             raise ValueError(f"parameter p{i:03d} holds a non-finite value")
-        p.data = arr.astype(np.float64).copy()
 
 
 def _load(path, module: str, values, build):
@@ -36,22 +38,27 @@ def _load(path, module: str, values, build):
     a sum of products of sizes read by ``_size``. No size is negative, so
     each bounds its product and the count bounds every size. The count must
     equal the number the header's shapes hold, which the file's size
-    bounds, before ``build`` allocates anything.
+    bounds, before ``build`` allocates anything. ``_restore`` then reads
+    each saved array into the one the model built for it, so a load holds
+    one copy of the parameters.
     """
-    found, params, meta = load_checkpoint(path)
-    if found != module:
-        raise CheckpointError(f"{path}: checkpoint holds {found}, not {module}")
-    try:
-        implied, held = values(meta), sum(arr.size for arr in params.values())
-        if implied != held:
-            raise ValueError(f"metadata implies {implied} parameter values, "
-                             f"the header's shapes hold {held}")
-        model = build(meta)
-        _restore(model, params)
-    except KeyError as exc:
-        raise CheckpointError(f"{path}: checkpoint lacks {exc}") from None
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
+    with open_checkpoint(path) as ckpt:
+        if ckpt.module != module:
+            raise CheckpointError(f"{path}: checkpoint holds {ckpt.module}, not {module}")
+        try:
+            implied = values(ckpt.meta)
+            held = sum(math.prod(shape) for shape in ckpt.shapes.values())
+            if implied != held:
+                raise ValueError(f"metadata implies {implied} parameter values, "
+                                 f"the header's shapes hold {held}")
+            model = build(ckpt.meta)
+            _restore(model, ckpt)
+        except CheckpointError:
+            raise
+        except KeyError as exc:
+            raise CheckpointError(f"{path}: checkpoint lacks {exc}") from None
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
     return model
 
 

@@ -380,7 +380,12 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
                    (bias, lambda g: g.sum(axis=0)))
 
 
-def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
+def _gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
+    """Rows ``ids`` of ``table``, with a gradient into the touched rows only.
+
+    The one kernel of ``embedding_lookup`` and ``take_rows``, so that each
+    call is one primitive to a profiler that wraps them by name.
+    """
     idx = np.asarray(ids, dtype=np.int64)
     if idx.ndim != 1:
         raise DimensionError("embedding ids must be a flat list")
@@ -409,9 +414,13 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
     return _result(data, (table, grad_table))
 
 
+def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
+    return _gather_rows(table, ids)
+
+
 def take_rows(x: Tensor, ids: Sequence[int]) -> Tensor:
     """Row gather with scatter-add gradient; also used as the 2x upsampler."""
-    return embedding_lookup(x, ids)
+    return _gather_rows(x, ids)
 
 
 def conv1d_right_padded(x: Tensor, kernel: Tensor, pad: int) -> Tensor:

@@ -3,10 +3,14 @@ import dataclasses
 import hashlib
 import shlex
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_file_formats import _edit, _mutate
 
 from streamsynth import cfm, cli, dataio, fsq
 from streamsynth.cfm import CfmConfig, CfmModel
@@ -592,6 +596,86 @@ class TestCheckpointShape:
         recorded = {k for k in meta if k != "module" and not k.startswith("shape.")}
         assert recorded == set(cli._LM_KEYS)
         assert all(key.startswith(("seqlm.", "fsq.")) for key in cli._LM_KEYS.values())
+
+
+# Each command with the input files it reads, under the workspace's data/ and
+# runs/ directories. FUZZ_FAST cuts every command to one optimizer step and
+# one Euler step, so a mutated input costs tens of milliseconds.
+FUZZ_FAST = ["--set", "seqlm.train_steps=1", "--set", "cfm.train_steps=1",
+             "--set", "rl.steps=1", "--set", "cfm.nfe=1"]
+_MODELS = ("--lm", "{runs}/lm.ssyn", "--cfm", "{runs}/cfm.ssyn")
+_FEATURES = "data/features/pair_000.sfea"
+FUZZ_COMMANDS = {
+    "train-lm": (("train", "--target", "lm", "--data", "{data}"), ["data/corpus.txt"]),
+    "train-fsq": (("train", "--target", "fsq", "--data", "{data}"), ["data/corpus.txt"]),
+    "train-cfm": (("train", "--target", "cfm", "--data", "{data}"),
+                  ["data/corpus.txt", "data/speaker.txt", _FEATURES]),
+    "synthesize-offline": (("synthesize", *_MODELS, "--text", "1 2 3", "--mode", "offline"),
+                           ["runs/lm.ssyn", "runs/cfm.ssyn", "runs/cfm.speaker.txt"]),
+    "synthesize-stream": (("synthesize", *_MODELS, "--text", "1 2 3", "--mode", "stream"),
+                          ["runs/lm.ssyn", "runs/cfm.ssyn", "runs/cfm.speaker.txt"]),
+    "finetune": (("finetune", "--lm", "{runs}/lm.ssyn", "--data", "{data}", "--objective",
+                  "dpo"), ["runs/lm.ssyn", "data/corpus.txt"]),
+    "eval": (("eval", *_MODELS, "--data", "{data}"),
+             ["runs/lm.ssyn", "runs/cfm.ssyn", "runs/cfm.speaker.txt", "data/corpus.txt",
+              _FEATURES]),
+}
+
+_meta_value = st.one_of(
+    st.integers(-2**70, 2**70).map(str),
+    st.sampled_from(["", "0", "-0", "nan", "inf", "1e3", "2.5", " 7", "0x10", "1_0", "True",
+                     "1,2", "3,-1", "4,,1"]),
+    st.text(max_size=6).filter(lambda v: "\n" not in v))
+
+
+def _edit_metadata(raw: bytes, line: int, value: str) -> bytes:
+    """The checkpoint ``raw`` with the value of metadata line ``line`` (modulo
+    their number) set to ``value``, the metadata length fixed to match."""
+    end = 12 + int.from_bytes(raw[8:12], "little")
+    lines = raw[12:end].decode("utf-8").split("\n")[:-1]
+    i = line % len(lines)
+    lines[i] = lines[i].partition("=")[0] + "=" + value
+    meta = "".join(entry + "\n" for entry in lines).encode("utf-8")
+    return raw[:8] + len(meta).to_bytes(4, "little") + meta + raw[end:]
+
+
+class TestMutatedInputs:
+    """Every command either runs on a mutated input file or exits 1 or 2
+    with an ``error:`` line that names the file, no traceback and no --out."""
+
+    @pytest.mark.parametrize("command", list(FUZZ_COMMANDS))
+    def test_command_fails_cleanly_on_a_mutated_input(self, workspace, capsys, command):
+        root, data, runs, _ = workspace
+        argv, inputs = FUZZ_COMMANDS[command]
+        mutations = [st.tuples(st.sampled_from(inputs), st.just(_mutate),
+                               st.lists(_edit, min_size=1, max_size=4).map(lambda e: (e,)))]
+        checkpoints = [name for name in inputs if name.endswith(".ssyn")]
+        if checkpoints:
+            mutations.append(st.tuples(st.sampled_from(checkpoints), st.just(_edit_metadata),
+                                       st.tuples(st.integers(0, 99), _meta_value)))
+
+        @settings(max_examples=60, deadline=None, derandomize=True)
+        @given(st.one_of(mutations))
+        def check(mutation):
+            name, edit, args = mutation
+            with tempfile.TemporaryDirectory(dir=root) as tmp:
+                tmp = Path(tmp)
+                shutil.copytree(data, tmp / "data")
+                shutil.copytree(runs, tmp / "runs")
+                path = tmp / name
+                path.write_bytes(edit(path.read_bytes(), *args))
+                out = tmp / "out"
+                code = run(*(a.format(data=tmp / "data", runs=tmp / "runs") for a in argv),
+                           "--out", out, *TINY, *FUZZ_FAST)
+                printed, err = capsys.readouterr()
+                assert "Traceback" not in printed + err
+                if code != 0:
+                    assert code in (1, 2)
+                    assert any(line.startswith("error: ") and str(path) in line
+                               for line in err.splitlines()), err
+                    assert not out.exists()
+
+        check()
 
 
 class TestBenchLatency:

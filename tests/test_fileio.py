@@ -4,9 +4,10 @@ import ast
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from streamsynth.fileio import read_bytes, read_text, write_lines
+from streamsynth.fileio import read_binary, read_text, write_lines, write_parts
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "streamsynth"
 FILE_METHODS = {"read_text", "write_text", "read_bytes", "write_bytes"}
@@ -43,7 +44,12 @@ def test_module_reads_and_writes_through_fileio(module):
         f"{module} opens or reads a file itself; use streamsynth.fileio"
 
 
-@pytest.mark.parametrize("read", [read_text, read_bytes])
+def _read_binary(path, error) -> bytes:
+    with read_binary(path, error) as f:
+        return f.read()
+
+
+@pytest.mark.parametrize("read", [read_text, pytest.param(_read_binary, id="read_binary")])
 def test_unreadable_path_is_the_callers_error(tmp_path, read):
     with pytest.raises(Bad, match="^" + re.escape(f"{tmp_path}: cannot read (")):
         read(tmp_path, Bad)
@@ -60,3 +66,27 @@ def test_text_is_utf8_with_lf(tmp_path):
     path.write_bytes(b"caf\xe9\n")
     with pytest.raises(Bad, match="t.txt: not UTF-8 text"):
         read_text(path, Bad)
+
+
+def test_parts_are_written_in_turn_without_joining(tmp_path):
+    path = tmp_path / "b.bin"
+    values = np.array([[1.5, -2.0], [0.25, 3.0]])
+    write_parts(path, [b"head", values, b"", values[1]])
+    assert _read_binary(path, Bad) == b"head" + values.tobytes() + values[1].tobytes()
+
+
+def test_parts_overwrite_a_longer_file_in_place(tmp_path):
+    path = tmp_path / "b.bin"
+    path.write_bytes(bytes(range(200)))
+    inode = path.stat().st_ino
+    write_parts(path, [b"head", np.arange(3.0)])
+    assert path.read_bytes() == b"head" + np.arange(3.0).tobytes()
+    assert path.stat().st_ino == inode
+
+
+def test_a_write_cut_short_leaves_a_head_of_zeros(tmp_path):
+    path = tmp_path / "b.bin"
+    write_parts(path, [b"head", np.arange(4.0)])
+    with pytest.raises(ValueError, match="not C-contiguous"):
+        write_parts(path, [b"head", np.arange(4.0)[::2]])
+    assert path.read_bytes()[:4] == bytes(4)

@@ -1,4 +1,6 @@
 import functools
+import gc
+import os
 import struct
 import tracemalloc
 
@@ -8,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcheck import check_gradients
-from streamsynth import cfm, rl, seqlm
+from streamsynth import cfm, cli, rl, seqlm
 from streamsynth import tensor as T
-from streamsynth.checkpoint import (CheckpointError, load_checkpoint, save_checkpoint)
+from streamsynth.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from streamsynth.config import RunConfig
 from streamsynth.nn import Adam, LayerNorm, Linear, Module, TransformerBlock, param_fingerprint
 from streamsynth.persist import load_cfm, load_codec, load_lm, save_cfm, save_codec, save_lm
 from streamsynth.tensor import Tape, Tensor
@@ -483,3 +486,70 @@ class TestModelPersistence:
         save_lm(path, model)
         with pytest.raises(CheckpointError, match="lm.ssyn: parameter p004 holds a non-finite"):
             load_lm(path)
+
+
+MiB = 1 << 20
+
+
+def _traced_peak(fn):
+    """``fn()`` and the ``tracemalloc`` peak of its allocations, in bytes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _sparse_checkpoint(path, head: bytes, size: int = 64 * MiB):
+    """``head`` followed by zeros up to ``size`` bytes, none of them on disk."""
+    path.write_bytes(head)
+    os.truncate(path, size)
+    return path
+
+
+class TestCheckpointMemory:
+    """A save or a load holds one copy of the parameters: the model's own."""
+
+    @pytest.fixture(scope="class")
+    def default_lm(self):
+        return seqlm.ToyLM(**cli._lm_shape(RunConfig()))
+
+    def test_save_writes_from_the_arrays(self, default_lm, tmp_path):
+        _, peak = _traced_peak(lambda: save_lm(tmp_path / "lm.ssyn", default_lm))
+        assert peak < 1 * MiB
+
+    def test_load_reads_into_the_model(self, default_lm, tmp_path):
+        path = tmp_path / "lm.ssyn"
+        save_lm(path, default_lm)
+        back, peak = _traced_peak(lambda: load_lm(path))
+        held = sum(p.data.nbytes for p in back.parameters())
+        assert held > 5 * MiB
+        assert peak - held <= 1 * MiB
+        assert param_fingerprint(back.parameters()) == param_fingerprint(default_lm.parameters())
+
+    @staticmethod
+    def _failed_load(load, path):
+        """The ``CheckpointError`` that ``load(path)`` raises, and the peak of the attempt."""
+        def attempt():
+            with pytest.raises(CheckpointError) as info:
+                load(path)
+            return info.value
+        return _traced_peak(attempt)
+
+    @pytest.mark.parametrize("load", [load_checkpoint, load_lm])
+    def test_bad_magic_reads_only_the_head(self, tmp_path, load):
+        path = _sparse_checkpoint(tmp_path / "zeros.ssyn", b"")
+        error, peak = self._failed_load(load, path)
+        assert str(error) == f"{path}: not a SSYN checkpoint"
+        assert peak < 1 * MiB
+
+    @pytest.mark.parametrize("load", [load_checkpoint, load_lm])
+    def test_shapes_past_the_file_read_no_values(self, tmp_path, load):
+        # the header promises 128 MiB of values; the file holds 64 MiB
+        meta = b"module=seqlm.ToyLM\nshape.p000=4096,4096\n"
+        head = b"SSYN" + struct.pack("<II", 1, len(meta)) + meta + struct.pack("<Q", 4096**2)
+        path = _sparse_checkpoint(tmp_path / "short.ssyn", head)
+        error, peak = self._failed_load(load, path)
+        assert str(error) == f"{path}: truncated inside parameter p000"
+        assert peak < 1 * MiB
