@@ -6,14 +6,14 @@ entry per parameter, in ``parameters()`` order), then each parameter as a u64
 element count followed by raw float64 little-endian values.
 
 Both directions hold one copy of the parameters. ``save_checkpoint`` writes
-the head and then each array's count and values straight from the array,
-over any old file in place (``fileio.write_parts``). ``open_checkpoint``
-reads in this order: the 12-byte head, the metadata, then each parameter's
-count, checking the whole layout (magic, version, counts against shapes,
-truncation, trailing bytes) against the file's size before it reads a single
-value. Only then does ``Checkpoint.read`` fill an array the caller
-allocated, so a bad file costs no more memory than its metadata, and
-``persist`` reads each parameter into the model it built.
+the head and then each array's count and values straight from the array
+(``fileio.write_parts``). ``open_checkpoint`` reads in this order: the
+12-byte head, the metadata, then each parameter's count, checking the whole
+layout (magic, version, counts against shapes, truncation, trailing bytes)
+against the file's size before it reads a single value. Only then does
+``Checkpoint.read`` fill an array the caller allocated, so a bad file costs
+no more memory than its metadata, and ``persist`` reads each parameter into
+the model it built.
 """
 
 from __future__ import annotations
@@ -110,7 +110,12 @@ class Checkpoint:
 
     def read(self, name: str, out: np.ndarray) -> np.ndarray:
         """Fill ``out``, a C-contiguous ``<f8`` array of the parameter's
-        shape, with its saved values, and return it."""
+        shape, with its saved values, and return it; any other array is a
+        ``TypeError``, so no value is read with the wrong byte order or
+        layout."""
+        if out.dtype != F8 or not out.flags.c_contiguous or out.shape != self.shapes[name]:
+            raise TypeError(f"{name} reads into a C-contiguous {F8.str} array "
+                            f"of shape {self.shapes[name]}")
         self._file.seek(self._offsets[name])
         if self._file.readinto(out) != out.nbytes:
             raise CheckpointError(f"{self.path}: truncated inside parameter {name}")

@@ -14,10 +14,9 @@ each value straight into the array that keeps it.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 Error = Callable[[str], Exception]
 
@@ -56,23 +55,10 @@ def write_lines(path, lines: Iterable[str]) -> None:
         f.write(text)
 
 
-def write_parts(path, parts: Sequence) -> None:
+def write_parts(path, parts: Iterable) -> None:
     """Write the bytes-like ``parts`` (``bytes``, C-contiguous arrays) in turn
     as one binary file. Each part's buffer goes to the file as it is, so no
-    part is copied and the parts are never joined.
-
-    An existing file is overwritten in place and cut to its new length at the
-    end, not emptied when it opens: emptying a file whose last contents the
-    system is still writing back to disk waits for that write-back, some
-    300 ms for a 6 MB checkpoint written twice in a row on a slow disk. The
-    first part is written as zeros first and for real last, so a write cut
-    short leaves a head of zeros, never a valid head over a mix of old and
-    new bytes."""
-    head, *rest = parts
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
-        f.write(bytes(memoryview(head).nbytes))
-        for part in rest:
+    part is copied and the parts are never joined."""
+    with open(path, "wb") as f:
+        for part in parts:
             f.write(part)
-        f.truncate()
-        f.seek(0)
-        f.write(head)

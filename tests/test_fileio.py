@@ -73,20 +73,3 @@ def test_parts_are_written_in_turn_without_joining(tmp_path):
     values = np.array([[1.5, -2.0], [0.25, 3.0]])
     write_parts(path, [b"head", values, b"", values[1]])
     assert _read_binary(path, Bad) == b"head" + values.tobytes() + values[1].tobytes()
-
-
-def test_parts_overwrite_a_longer_file_in_place(tmp_path):
-    path = tmp_path / "b.bin"
-    path.write_bytes(bytes(range(200)))
-    inode = path.stat().st_ino
-    write_parts(path, [b"head", np.arange(3.0)])
-    assert path.read_bytes() == b"head" + np.arange(3.0).tobytes()
-    assert path.stat().st_ino == inode
-
-
-def test_a_write_cut_short_leaves_a_head_of_zeros(tmp_path):
-    path = tmp_path / "b.bin"
-    write_parts(path, [b"head", np.arange(4.0)])
-    with pytest.raises(ValueError, match="not C-contiguous"):
-        write_parts(path, [b"head", np.arange(4.0)[::2]])
-    assert path.read_bytes()[:4] == bytes(4)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gradcheck import check_gradients
 from streamsynth import cfm, cli, rl, seqlm
 from streamsynth import tensor as T
-from streamsynth.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from streamsynth.checkpoint import CheckpointError, load_checkpoint, open_checkpoint, save_checkpoint
 from streamsynth.config import RunConfig
 from streamsynth.nn import Adam, LayerNorm, Linear, Module, TransformerBlock, param_fingerprint
 from streamsynth.persist import load_cfm, load_codec, load_lm, save_cfm, save_codec, save_lm
@@ -553,3 +553,14 @@ class TestCheckpointMemory:
         error, peak = self._failed_load(load, path)
         assert str(error) == f"{path}: truncated inside parameter p000"
         assert peak < 1 * MiB
+
+    @pytest.mark.parametrize("out", [np.zeros((2, 3), ">f8"), np.zeros((2, 3), "<f4"),
+                                     np.zeros((3, 2)).T, np.zeros((3, 2)), np.zeros(5)],
+                             ids=["big-endian", "float32", "not-contiguous", "shape", "short"])
+    def test_read_rejects_an_array_of_another_layout(self, tmp_path, out):
+        path = tmp_path / "one.ssyn"
+        save_checkpoint(path, "m", [("w", np.arange(6.0).reshape(2, 3))])
+        with open_checkpoint(path) as ckpt:
+            with pytest.raises(TypeError, match=r"w reads into a C-contiguous <f8 array of shape \(2, 3\)"):
+                ckpt.read("w", out)
+            assert (out == 0).all()
